@@ -117,6 +117,8 @@ int main(int argc, char** argv) {
                         : 0.0)
           .set("queries_found", result.queries_found)
           .set("queries_failed", result.queries_failed)
+          .set("registration_giveups",
+               result.scheme_stats.registration_giveups)
           .set("trackers", static_cast<std::uint64_t>(result.trackers_at_end))
           .set("bytes_per_agent", result.platform_stats.bytes_per_agent)
           .set("peak_inbox_depth",

@@ -117,6 +117,8 @@ int main(int argc, char** argv) {
           .set("updates_per_sec", update_rate)
           .set("queries_found", result.queries_found)
           .set("queries_failed", result.queries_failed)
+          .set("registration_giveups",
+               result.scheme_stats.registration_giveups)
           .add_summary("location_ms", result.location_ms);
       std::fflush(stdout);
     }

@@ -96,11 +96,12 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(seed));
 
   workload::Table table({"tagents", "nodes", "wall s", "events/s", "found",
-                         "locate p95 ms", "B/agent", "peak MiB", "trackers",
-                         "coalesced"});
+                         "locate p95 ms", "B/agent", "peak MiB", "sim MiB",
+                         "trackers", "coalesced"});
   util::BenchReport report("scale");
   double worst_bytes_per_agent = 0.0;
   std::size_t worst_peak_bytes = 0;
+  std::size_t worst_sim_bytes = 0;
 
   for (const std::int64_t tagents : tagents_list) {
     for (const std::int64_t nodes : nodes_list) {
@@ -121,6 +122,7 @@ int main(int argc, char** argv) {
           std::max(worst_bytes_per_agent, platform.bytes_per_agent);
       worst_peak_bytes =
           std::max(worst_peak_bytes, platform.peak_resident_bytes);
+      worst_sim_bytes = std::max(worst_sim_bytes, result.sim_resident_bytes);
 
       table.add_row(
           {workload::fmt_count(static_cast<std::uint64_t>(tagents)),
@@ -130,6 +132,9 @@ int main(int argc, char** argv) {
            workload::fmt(result.location_ms.percentile(95.0), 2),
            workload::fmt(platform.bytes_per_agent, 1),
            workload::fmt(static_cast<double>(platform.peak_resident_bytes) /
+                             (1024.0 * 1024.0),
+                         1),
+           workload::fmt(static_cast<double>(result.sim_resident_bytes) /
                              (1024.0 * 1024.0),
                          1),
            std::to_string(result.trackers_at_end),
@@ -155,6 +160,8 @@ int main(int argc, char** argv) {
           .set("bytes_per_agent", platform.bytes_per_agent)
           .set("peak_resident_bytes",
                static_cast<std::uint64_t>(platform.peak_resident_bytes))
+          .set("sim_resident_bytes",
+               static_cast<std::uint64_t>(result.sim_resident_bytes))
           .add_summary("location_ms", result.location_ms);
       std::fflush(stdout);
     }
@@ -170,7 +177,8 @@ int main(int argc, char** argv) {
       // Worst cell in the sweep: the values the lower-is-better gate tracks.
       .set("bytes_per_agent", worst_bytes_per_agent)
       .set("peak_resident_bytes",
-           static_cast<std::uint64_t>(worst_peak_bytes));
+           static_cast<std::uint64_t>(worst_peak_bytes))
+      .set("sim_resident_bytes", static_cast<std::uint64_t>(worst_sim_bytes));
   const std::string written = report.write(json_out);
   if (written.empty()) {
     std::fprintf(stderr, "failed to write %s\n", json_out.c_str());

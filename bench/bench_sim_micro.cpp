@@ -103,6 +103,56 @@ void BM_ScheduleCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleCancel)->Arg(64)->Arg(4096);
 
+/// A TAgent's residence timer: fires, then re-arms up to four minutes ahead
+/// (120 s mean, the `capacity` workload's residence).
+struct ResidenceTimer {
+  sim::Simulator* simulator;
+  util::Rng* rng;
+
+  void operator()() const {
+    simulator->schedule_after(
+        SimTime::millis(static_cast<double>(rng->next_below(240'000))),
+        *this);
+  }
+};
+
+/// A message hop 0-2 ms after the last; every 4th hop arms and cancels an
+/// RPC timeout 2 s ahead.
+struct MessageHop {
+  sim::Simulator* simulator;
+  util::Rng* rng;
+  std::uint64_t* hops;
+
+  void operator()() const {
+    simulator->schedule_after(
+        SimTime::micros(static_cast<std::int64_t>(rng->next_below(2000))),
+        *this);
+    if ((++*hops & 3) == 0) {
+      simulator->cancel(simulator->schedule_after(SimTime::seconds(2), *this));
+    }
+  }
+};
+
+void BM_FarTimers(benchmark::State& state) {
+  // The `capacity` workload's shape: a large population of far-future
+  // timers pending under ms-scale churn from 64 message chains. Each
+  // iteration runs 100 ms of simulated time.
+  const auto timers = static_cast<std::size_t>(state.range(0));
+  sim::Simulator simulator;
+  simulator.reserve(timers + 1024);
+  util::Rng rng(11);
+  std::uint64_t hops = 0;
+  for (std::size_t i = 0; i < timers; ++i) {
+    ResidenceTimer{&simulator, &rng}();
+  }
+  for (int i = 0; i < 64; ++i) MessageHop{&simulator, &rng, &hops}();
+  for (auto _ : state) {
+    simulator.run_until(simulator.now() + SimTime::millis(100));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(simulator.executed()));
+}
+BENCHMARK(BM_FarTimers)->Arg(500'000);
+
 void BM_MixedChurn(benchmark::State& state) {
   std::uint64_t events = 0;
   for (auto _ : state) {

@@ -234,9 +234,10 @@ void HashLocationScheme::deregister_agent(platform::Agent& self) {
 }
 
 void HashLocationScheme::send_update(platform::AgentId self) {
-  LHAgent* lhagent = local_lhagent(self);
+  // One lookup serves both the co-located LHAgent and the reported node.
   const auto node = system_.node_of(self);
-  if (lhagent == nullptr || !node) return;  // moved on; next arrival reports
+  LHAgent* lhagent = node ? lhagents_[*node] : nullptr;
+  if (lhagent == nullptr) return;  // moved on; next arrival reports
   const LocationEntry entry{self, *node, ++seqs_[self]};
   if (config_.update_batching) {
     // Hand the report to the co-located LHAgent (same-node IPC, free by the
@@ -262,13 +263,14 @@ void HashLocationScheme::refresh_and_resend_update(platform::AgentId self) {
 void HashLocationScheme::send_register(platform::AgentId self,
                                        std::uint64_t seq, int attempts_left,
                                        std::function<void(bool)> done) {
-  LHAgent* lhagent = local_lhagent(self);
   const auto node = system_.node_of(self);
-  if (lhagent == nullptr || !node) {
+  LHAgent* lhagent = node ? lhagents_[*node] : nullptr;
+  if (lhagent == nullptr) {
     done(false);
     return;
   }
   if (attempts_left <= 0) {
+    ++stats_.registration_giveups;
     AGENTLOC_LOG(kWarn, "hash-scheme")
         << "registration for agent " << self << " gave up";
     done(false);

@@ -30,6 +30,9 @@ struct SchemeStats {
   std::uint64_t delivery_retries = 0;   ///< unreachable tracker (it moved)
   std::uint64_t timeout_retries = 0;    ///< lost message / missed deadline
   std::uint64_t refreshes_triggered = 0;
+  /// Registrations that exhausted their retries; the agent stays untracked
+  /// until its first move reports it.
+  std::uint64_t registration_giveups = 0;
 
   /// LocateRequest RPCs actually put on the wire toward an IAgent —
   /// locates() minus what the cache and singleflight absorbed, plus retries.

@@ -27,8 +27,11 @@ inline constexpr EventId kInvalidEvent = 0;
 /// Internally events live in a slab of pooled records: scheduling reuses a
 /// free slot (no per-event allocation once the pool is warm — handlers small
 /// enough for the inline buffer never touch the heap at all), and `cancel`
-/// is an O(1) generation bump that invalidates the heap entry lazily. Run
-/// many simulators on different threads for parallel sweeps; a single
+/// is an O(1) generation bump that invalidates the queued entry lazily. The
+/// pending set has two tiers (DESIGN.md §8): a small heap of the events due
+/// before a moving boundary, and an unsorted array of everything later, so
+/// far-future timers cost an append instead of a sift through a large heap.
+/// Run many simulators on different threads for parallel sweeps; a single
 /// instance is strictly single-threaded.
 class Simulator {
  public:
@@ -69,16 +72,22 @@ class Simulator {
 
   /// Timestamp of the next live event, or `SimTime::infinity()` on an empty
   /// queue. Used by the parallel LP scheduler to compute the global safe
-  /// window; sweeps cancelled corpses off the heap top as a side effect
-  /// (which is why it is not const).
+  /// window; refills the near tier and sweeps cancelled corpses off its top
+  /// as a side effect (which is why it is not const).
   SimTime next_event_time();
 
   /// Ask `run_until`/`run` to return after the current event completes.
   void request_stop() noexcept { stop_requested_ = true; }
 
-  /// Capacity hint: pre-size the event pool and heap for `events` concurrent
-  /// pending events so a steady-state run never regrows them mid-flight.
+  /// Capacity hint: pre-size the event pool and the pending set for
+  /// `events` concurrent pending events so a steady-state run never regrows
+  /// them mid-flight.
   void reserve(std::size_t events);
+
+  /// Bytes held by the record slab and both tiers of the pending set (their
+  /// capacity, not their fill; handlers too large for the inline buffer are
+  /// not counted).
+  std::size_t resident_bytes() const noexcept;
 
   bool empty() const noexcept { return live_ == 0; }
   std::size_t pending() const noexcept { return live_; }
@@ -107,7 +116,7 @@ class Simulator {
   static constexpr std::uint32_t kNoFreeSlot = UINT32_MAX;
 
   /// One pooled event. A slot's generation is bumped whenever the event it
-  /// held is cancelled or executed, so stale `EventId`s and stale heap
+  /// held is cancelled or executed, so stale `EventId`s and stale queued
   /// entries referring to an earlier occupant are detected in O(1).
   struct Record {
     Handler handler;
@@ -116,18 +125,16 @@ class Simulator {
     bool armed = false;
   };
 
-  /// Heap entries are plain 24-byte values ordered min-first by
-  /// (when, seq): later-scheduled same-time events run after earlier ones.
-  struct HeapEntry {
+  /// Pending-set entries are plain 24-byte values ordered by (when, seq):
+  /// later-scheduled same-time events run after earlier ones.
+  struct Entry {
     SimTime when;
     std::uint64_t seq;
     std::uint32_t slot;
     std::uint32_t generation;
-  };
-  struct EntryAfter {
-    bool operator()(const HeapEntry& a, const HeapEntry& b) const noexcept {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
+
+    bool operator<(const Entry& other) const noexcept {
+      return when != other.when ? when < other.when : seq < other.seq;
     }
   };
 
@@ -135,21 +142,32 @@ class Simulator {
     return (static_cast<EventId>(generation) << 32) | slot;
   }
 
+  std::vector<Entry>::iterator near_end() noexcept {
+    return entries_.begin() + static_cast<std::ptrdiff_t>(near_size_);
+  }
+
   /// Return the slot to the free list and invalidate outstanding ids.
   void release_slot(std::uint32_t slot, Record& record) noexcept;
 
-  /// Pop heap entries whose slot was cancelled/reused since they were
-  /// pushed, leaving a live event (or an empty heap) on top.
+  /// Refill the near tier if it is empty, then pop entries whose slot was
+  /// cancelled/reused since they were queued, leaving a live event (or an
+  /// empty pending set) on top of the near heap.
   void drop_stale_top();
 
-  /// When cancelled entries outnumber live ones, sweep them out and
-  /// re-heapify. Amortized O(1) per cancel; keeps the heap depth set by the
-  /// *live* event count even when cancelled timeouts vastly outnumber it.
+  /// Turn the earliest chunk of the far tier into the (empty) near heap and
+  /// advance the boundary past it.
+  void refill();
+
+  /// When cancelled entries outnumber live ones, sweep them out of both
+  /// tiers and re-heapify the near one. Amortized O(1) per cancel; keeps the
+  /// pending set sized by the *live* event count even when cancelled
+  /// timeouts vastly outnumber it.
   void maybe_compact();
 
+  /// Remove the near heap's top.
   void pop_top();
 
-  /// Pop and run the heap top; the caller guarantees it is live.
+  /// Pop and run the near heap's top; the caller guarantees it is live.
   void execute_top();
 
   SimTime now_ = SimTime::zero();
@@ -159,9 +177,21 @@ class Simulator {
   bool stop_requested_ = false;
   std::vector<Record> records_;
   std::uint32_t free_head_ = kNoFreeSlot;
-  std::vector<HeapEntry> heap_;
-  // Exact count of heap entries orphaned by cancel() (execution pops its
-  // entry eagerly, so cancellation is the only source of stale entries).
+  // The pending set: one array, two tiers (DESIGN.md §8). entries_[0,
+  // near_size_) is the near tier, a 4-ary min-heap; the rest is the far
+  // tier, unsorted. For some boundary key (boundary_, b), every near entry
+  // orders before it and every far entry at or after it. b never exceeds a
+  // seq handed out later, so a new event belongs in the near tier exactly
+  // when its time is before boundary_. The boundary starts at zero: events
+  // go to the far tier until the first read of the top refills the near one.
+  std::vector<Entry> entries_;
+  std::size_t near_size_ = 0;
+  SimTime boundary_ = SimTime::zero();
+  // At or after the time of every far entry.
+  SimTime far_latest_ = SimTime::zero();
+  // Exact count of entries in either tier orphaned by cancel() (execution
+  // pops its entry eagerly, so cancellation is the only source of stale
+  // entries).
   std::size_t stale_in_heap_ = 0;
 };
 

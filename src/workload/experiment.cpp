@@ -156,6 +156,7 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
   }
   result.sim_seconds = simulator.now().as_seconds();
   result.events_executed = simulator.executed();
+  result.sim_resident_bytes = simulator.resident_bytes();
   return result;
 }
 
@@ -194,6 +195,7 @@ void merge_replication(ExperimentResult& merged, const ExperimentResult& one) {
   scheme.delivery_retries += inc.delivery_retries;
   scheme.timeout_retries += inc.timeout_retries;
   scheme.refreshes_triggered += inc.refreshes_triggered;
+  scheme.registration_giveups += inc.registration_giveups;
   scheme.locate_rpcs += inc.locate_rpcs;
   scheme.optimistic_locates += inc.optimistic_locates;
   scheme.locates_coalesced += inc.locates_coalesced;
@@ -239,6 +241,9 @@ void merge_replication(ExperimentResult& merged, const ExperimentResult& one) {
   merged.platform_stats.peak_resident_bytes =
       std::max(merged.platform_stats.peak_resident_bytes,
                one.platform_stats.peak_resident_bytes);
+
+  merged.sim_resident_bytes =
+      std::max(merged.sim_resident_bytes, one.sim_resident_bytes);
 
   merged.sim_seconds += one.sim_seconds;
   merged.events_executed += one.events_executed;

@@ -105,6 +105,11 @@ struct ExperimentResult {
   std::uint64_t tagent_moves = 0;
   double sim_seconds = 0.0;
   std::uint64_t events_executed = 0;
+  /// The simulator's own footprint (`Simulator::resident_bytes`: event
+  /// records plus the pending set) at the end of the run, summed over LPs.
+  /// Kept apart from `platform_stats.peak_resident_bytes`, which estimates
+  /// the platform and scheme only.
+  std::size_t sim_resident_bytes = 0;
 
   /// Parallel LP engine diagnostics; all zero when the single-simulator
   /// engine ran (`ExperimentConfig::lp_threads == 0`).

@@ -183,7 +183,9 @@ class LpWorld {
 
     sim::SimTime end = sim::SimTime::zero();
     for (std::size_t n = 0; n < config_.nodes; ++n) {
-      end = std::max(end, engine_.lp(static_cast<std::uint32_t>(n)).now());
+      const sim::Simulator& lp = engine_.lp(static_cast<std::uint32_t>(n));
+      end = std::max(end, lp.now());
+      result.sim_resident_bytes += lp.resident_bytes();
     }
     result.sim_seconds = end.as_seconds();
     result.events_executed = engine_.executed();

@@ -154,6 +154,7 @@ void accumulate_scheme_stats(core::SchemeStats& into,
   into.delivery_retries += inc.delivery_retries;
   into.timeout_retries += inc.timeout_retries;
   into.refreshes_triggered += inc.refreshes_triggered;
+  into.registration_giveups += inc.registration_giveups;
   into.locate_rpcs += inc.locate_rpcs;
   into.optimistic_locates += inc.optimistic_locates;
   into.locates_coalesced += inc.locates_coalesced;
@@ -374,11 +375,10 @@ ExperimentResult run_experiment_sharded(const ExperimentConfig& config) {
     live_agents += systems[s]->live_agent_count();
     resident_bytes += systems[s]->estimated_resident_bytes() +
                       schemes[s]->estimated_resident_bytes();
-    max_now_seconds =
-        std::max(max_now_seconds,
-                 engine.lp(static_cast<sim::ParallelSimulator::LpId>(s))
-                     .now()
-                     .as_seconds());
+    const sim::Simulator& lp =
+        engine.lp(static_cast<sim::ParallelSimulator::LpId>(s));
+    max_now_seconds = std::max(max_now_seconds, lp.now().as_seconds());
+    result.sim_resident_bytes += lp.resident_bytes();
   }
   if (live_agents > 0) {
     result.platform_stats.bytes_per_agent =

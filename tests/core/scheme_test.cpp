@@ -122,6 +122,7 @@ class BothSchemesTest : public SchemeTest,
 TEST_P(BothSchemesTest, RegisterThenLocate) {
   Trackee& target = spawn_trackee(3);
   EXPECT_TRUE(target.registered);
+  EXPECT_EQ(scheme_->stats().registration_giveups, 0u);
   const LocateOutcome outcome = locate_from(5, target.id());
   EXPECT_TRUE(outcome.found);
   EXPECT_EQ(outcome.node, 3u);
@@ -296,6 +297,16 @@ TEST_F(HashSchemeTest, TrackerCountFollowsTree) {
 }
 
 // --- home-registry-specific -------------------------------------------------
+
+TEST_F(SchemeTest, HashRegistrationGiveUpIsCounted) {
+  // With no attempts to spend, registration gives up at once; the give-up
+  // must show in the scheme's stats, not only in the log.
+  config_.max_locate_retries = 0;
+  make_hash_scheme();
+  Trackee& target = spawn_trackee(3);
+  EXPECT_FALSE(target.registered);
+  EXPECT_EQ(scheme_->stats().registration_giveups, 1u);
+}
 
 TEST_F(SchemeTest, HomeRegistrySpreadsEntriesByAgentId) {
   config_.rpc_timeout = sim::SimTime::seconds(2);

@@ -301,6 +301,36 @@ TEST(Simulator, CancellationBacklogStaysBounded) {
   EXPECT_EQ(sim.executed(), 0u);
 }
 
+TEST(Simulator, FarTierCancellationBacklogStaysBounded) {
+  // The same timeout pattern with the boundary moved off zero: reading the
+  // top pulls both live events into the near tier, so the cancelled
+  // timeouts an hour ahead all land in the far tier. Compaction must sweep
+  // them there too, and the pending set's memory must stay small.
+  Simulator sim;
+  int ran = 0;
+  sim.schedule_at(SimTime::seconds(1), [&ran] { ++ran; });
+  sim.schedule_at(SimTime::seconds(2), [&ran] { ++ran; });
+  EXPECT_EQ(sim.next_event_time(), SimTime::seconds(1));
+  for (int i = 0; i < 100'000; ++i) {
+    const EventId id = sim.schedule_at(SimTime::seconds(3600), [] {});
+    ASSERT_TRUE(sim.cancel(id));
+  }
+  EXPECT_EQ(sim.pending(), 2u);
+  EXPECT_LE(sim.pool_size(), 64u);
+  EXPECT_LT(sim.resident_bytes(), 64u * 1024u);
+  sim.run();
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(sim.executed(), 2u);
+}
+
+TEST(Simulator, ResidentBytesCoverRecordsAndPendingSet) {
+  Simulator sim;
+  EXPECT_EQ(sim.resident_bytes(), 0u);
+  sim.reserve(1000);
+  // At least one record and one 24-byte entry per reserved event.
+  EXPECT_GE(sim.resident_bytes(), 1000u * (24u + 48u));
+}
+
 TEST(Simulator, ReservePreservesSemantics) {
   Simulator sim;
   sim.reserve(4096);

@@ -30,6 +30,8 @@ TEST(ExperimentRunner, AllFourSchemesRun) {
     EXPECT_GT(result.queries_found, 55u) << scheme;
     EXPECT_GT(result.tagent_moves, 0u) << scheme;
     EXPECT_GT(result.events_executed, 500u) << scheme;
+    // The simulator's own footprint is reported apart from the platform's.
+    EXPECT_GT(result.sim_resident_bytes, 0u) << scheme;
   }
 }
 

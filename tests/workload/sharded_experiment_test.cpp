@@ -218,6 +218,9 @@ TEST(ParallelShardedExperimentTest, SumsPerShardMemoryWatermarks) {
   // population (each shard's own slab alone is >1 KiB).
   EXPECT_GT(result.platform_stats.peak_resident_bytes, 16u * 1024u);
   EXPECT_GT(result.platform_stats.memory.total(), 0u);
+  // Every shard's simulator holds records and pending entries; their sum
+  // is reported apart from the platform estimate.
+  EXPECT_GT(result.sim_resident_bytes, 0u);
 }
 
 TEST(ParallelShardedExperimentTest, DispatchesFromRunExperiment) {
