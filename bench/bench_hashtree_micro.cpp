@@ -5,6 +5,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "bench_json.hpp"
 #include "hashtree/tree.hpp"
 #include "util/bench_report.hpp"
@@ -53,6 +55,45 @@ void BM_LookupU64(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_LookupU64)->Arg(2)->Arg(16)->Arg(128)->Arg(1024);
+
+/// `HashLocationScheme`'s read path at `capacity`'s shape: random ids
+/// resolved round-robin across 1,024 nodes' secondary copies of a 123-leaf
+/// tree. `BM_ResolvePrivateCopies` gives every node its own compiled copy
+/// (~1,024 routers and trees spread over the heap); `BM_ResolveSharedSnapshot`
+/// gives them all one shared snapshot, as the scheme does until a node
+/// refreshes. Same calls, same indirection: the gap is the cache misses of
+/// cold per-node copies.
+constexpr std::size_t kNodes = 1024;
+constexpr std::size_t kCapacityLeaves = 123;
+
+void resolve_round_robin(benchmark::State& state,
+                         const std::vector<hashtree::Snapshot>& copies) {
+  util::Rng rng(99);
+  std::size_t node = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(copies[node]->lookup_id(rng.next()));
+    node = (node + 1) % copies.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
+void BM_ResolvePrivateCopies(benchmark::State& state) {
+  const HashTree tree = make_tree(kCapacityLeaves, 7);
+  std::vector<hashtree::Snapshot> copies;
+  copies.reserve(kNodes);
+  for (std::size_t i = 0; i < kNodes; ++i) {
+    copies.push_back(hashtree::make_snapshot(tree));
+  }
+  resolve_round_robin(state, copies);
+}
+BENCHMARK(BM_ResolvePrivateCopies);
+
+void BM_ResolveSharedSnapshot(benchmark::State& state) {
+  const std::vector<hashtree::Snapshot> copies(
+      kNodes, hashtree::make_snapshot(make_tree(kCapacityLeaves, 7)));
+  resolve_round_robin(state, copies);
+}
+BENCHMARK(BM_ResolveSharedSnapshot);
 
 void BM_Compatible(benchmark::State& state) {
   const HashTree tree = make_tree(64, 7);

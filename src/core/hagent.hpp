@@ -113,10 +113,10 @@ class HAgent : public platform::Agent {
   const HAgentStats& stats() const noexcept { return stats_; }
   bool rehash_in_progress() const noexcept { return busy_; }
 
-  /// Allocated bytes of the primary copy (serialized size as proxy) plus the
-  /// retained replication journal.
+  /// Allocated bytes of the primary copy plus the retained replication
+  /// journal.
   std::size_t resident_bytes() const noexcept {
-    return (tree_ ? tree_->serialized_bytes() : 0) +
+    return (tree_ ? tree_->resident_bytes() : 0) +
            static_cast<std::size_t>(stats_.journal_bytes);
   }
   std::size_t iagent_count() const {

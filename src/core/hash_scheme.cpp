@@ -34,10 +34,13 @@ HashLocationScheme::HashLocationScheme(platform::AgentSystem& system,
     backup_->bootstrap_follower(hagent_address, hagent_->tree());
   }
 
+  // Every node bootstraps from the same version, so one compiled snapshot
+  // serves them all until each refreshes on its own (copy-on-write).
+  const hashtree::Snapshot snapshot = hashtree::make_snapshot(hagent_->tree());
   lhagents_.reserve(system_.node_count());
   for (net::NodeId node = 0; node < system_.node_count(); ++node) {
     LHAgent& lhagent = system_.create<LHAgent>(
-        node, coordinators, hagent_->tree(), config_.failover_threshold);
+        node, coordinators, snapshot, config_.failover_threshold);
     if (config_.update_batching) {
       lhagent.enable_update_batching(config_.batch_flush_interval,
                                      config_.batch_max_entries);
@@ -112,12 +115,15 @@ HashLocationScheme::build_sharded(
 
   // Secondary-copy tier: each shard creates and owns its node's LHAgent;
   // every instance then gets the full address table (the optimistic-jump
-  // probe targets the cached node's LHAgent, wherever it lives).
+  // probe targets the cached node's LHAgent, wherever it lives). Each shard
+  // gets its own snapshot: no snapshot's reference count is touched from
+  // two shards' threads.
   std::vector<platform::AgentAddress> addresses(shards);
   for (std::size_t s = 0; s < shards; ++s) {
     const net::NodeId node = static_cast<net::NodeId>(s);
     LHAgent& lhagent = systems[s]->create<LHAgent>(
-        node, coordinators, hagent.tree(), config.failover_threshold);
+        node, coordinators, hashtree::make_snapshot(hagent.tree()),
+        config.failover_threshold);
     if (config.update_batching) {
       lhagent.enable_update_batching(config.batch_flush_interval,
                                      config.batch_max_entries);
@@ -670,6 +676,8 @@ std::size_t HashLocationScheme::estimated_resident_bytes() const noexcept {
   if (backup_ != nullptr && backup_ != primary) {
     bytes += backup_->resident_bytes();
   }
+  // LHAgents sharing a snapshot each count their share of it, so the sum
+  // counts every distinct snapshot once.
   for (const LHAgent* lhagent : lhagents_) {
     bytes += lhagent->resident_bytes();
   }

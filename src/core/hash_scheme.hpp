@@ -65,7 +65,8 @@ class HashLocationScheme : public LocationScheme {
   const SchemeStats& stats() const noexcept override;
 
   /// Client seq table + every live IAgent's tables + both hash-copy tiers
-  /// (HAgent primary + journal, per-node LHAgent copies, batchers, caches).
+  /// (HAgent primary + journal, each distinct LHAgent snapshot once,
+  /// batchers, caches).
   std::size_t estimated_resident_bytes() const noexcept override;
 
   /// Pre-sizes the client seq table and the current IAgents' tables for an

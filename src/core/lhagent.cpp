@@ -10,12 +10,12 @@
 
 namespace agentloc::core {
 
-LHAgent::LHAgent(platform::AgentAddress hagent, hashtree::HashTree initial)
+LHAgent::LHAgent(platform::AgentAddress hagent, hashtree::Snapshot initial)
     : LHAgent(std::vector<platform::AgentAddress>{hagent}, std::move(initial),
               2) {}
 
 LHAgent::LHAgent(std::vector<platform::AgentAddress> coordinators,
-                 hashtree::HashTree initial, int failover_threshold)
+                 hashtree::Snapshot initial, int failover_threshold)
     : coordinators_(std::move(coordinators)),
       hagent_(coordinators_.at(0)),
       failover_threshold_(failover_threshold),
@@ -107,7 +107,7 @@ void LHAgent::enqueue_update(const LocationEntry& entry) {
 
 platform::AgentAddress LHAgent::resolve(platform::AgentId agent) {
   ++stats_.resolves;
-  const auto target = tree_.lookup_id(agent);
+  const auto target = tree_->lookup_id(agent);
   return platform::AgentAddress{target.location, target.iagent};
 }
 
@@ -124,7 +124,7 @@ void LHAgent::refresh(std::function<void()> done) {
 
 void LHAgent::pull(bool force_full) {
   system().request(
-      id(), hagent_, HashPullRequest{tree_.version(), force_full},
+      id(), hagent_, HashPullRequest{tree_->version(), force_full},
       HashPullRequest::kWireBytes, [this](platform::RpcResult result) {
         if (!result.ok()) {
           note_pull_failure();
@@ -142,13 +142,26 @@ void LHAgent::pull(bool force_full) {
           util::ByteReader reader(reply->payload);
           if (reply->is_delta) {
             const auto delta = hashtree::TreeDelta::deserialize(reader);
-            delta.apply_to(tree_);
+            const std::uint64_t have = tree_->version();
+            const bool no_change = delta.ops.empty() &&
+                                   delta.base_version == have &&
+                                   delta.target_version == have;
+            if (!no_change) {
+              // Copy-on-write: replay onto a private copy and swap it in
+              // only once the whole delta landed. A delta that throws part
+              // way leaves the held snapshot — possibly shared with other
+              // nodes — untouched, and the fallback pull asks from its
+              // version.
+              hashtree::HashTree next = *tree_;
+              delta.apply_to(next);
+              tree_ = hashtree::make_snapshot(std::move(next));
+            }
             ++stats_.delta_refreshes;
           } else {
             hashtree::HashTree fresh =
                 hashtree::HashTree::deserialize(reader);
-            if (fresh.version() >= tree_.version()) {
-              tree_ = std::move(fresh);
+            if (fresh.version() >= tree_->version()) {
+              tree_ = hashtree::make_snapshot(std::move(fresh));
             }
           }
           ++stats_.refreshes_completed;

@@ -31,24 +31,32 @@ struct LHAgentStats {
 /// Local Hash Agent (paper §2.2): the stationary per-node agent holding a
 /// *secondary copy* of the hash function.
 ///
+/// The copy is an immutable `hashtree::Snapshot`. LHAgents that hold the
+/// same version share one instance (the scheme hands every node the same
+/// bootstrap snapshot), so a million-agent run keeps one compiled router
+/// hot instead of one cold copy per node (DESIGN.md §9).
+///
 /// Agents co-located with an LHAgent resolve through a direct call —
 /// same-node IPC is orders of magnitude cheaper than any network hop and
 /// identical for every scheme, so it is not separately modelled (DESIGN.md
 /// §2). The copy refreshes lazily (paper §4.3): when a client is told
 /// "not responsible" (or cannot reach an IAgent at its recorded node), it
 /// calls `refresh`, which pulls the primary copy from the HAgent. Concurrent
-/// refresh requests coalesce into one pull.
+/// refresh requests coalesce into one pull. A refresh is copy-on-write: it
+/// builds a new snapshot and swaps only this LHAgent's pointer, so the other
+/// nodes keep the version they hold.
 class LHAgent : public platform::Agent {
  public:
   /// `initial` is the bootstrap copy of the hash function (white-box setup
-  /// shortcut; every later refresh goes through messages).
-  LHAgent(platform::AgentAddress hagent, hashtree::HashTree initial);
+  /// shortcut; every later refresh goes through messages). Make it with
+  /// `hashtree::make_snapshot`.
+  LHAgent(platform::AgentAddress hagent, hashtree::Snapshot initial);
 
   /// With coordinator failover (§7 fault-tolerance extension): after
   /// `failover_threshold` consecutive pull failures, rotate to the next
   /// coordinator and ask it to promote itself.
   LHAgent(std::vector<platform::AgentAddress> coordinators,
-          hashtree::HashTree initial, int failover_threshold);
+          hashtree::Snapshot initial, int failover_threshold);
 
   std::string kind() const override { return "lhagent"; }
 
@@ -60,16 +68,19 @@ class LHAgent : public platform::Agent {
   /// node. Pure local computation on the secondary copy.
   platform::AgentAddress resolve(platform::AgentId agent);
 
-  std::uint64_t version() const noexcept { return tree_.version(); }
-  std::size_t known_iagents() const noexcept { return tree_.leaf_count(); }
+  std::uint64_t version() const noexcept { return tree_->version(); }
+  std::size_t known_iagents() const noexcept { return tree_->leaf_count(); }
   const LHAgentStats& stats() const noexcept { return stats_; }
-  const hashtree::HashTree& tree() const noexcept { return tree_; }
+  const hashtree::HashTree& tree() const noexcept { return *tree_; }
 
-  /// Allocated bytes of this node's mechanism state: the secondary hash
-  /// copy (serialized size as proxy), the update batcher, and the location
-  /// cache. Feeds `HashLocationScheme::estimated_resident_bytes`.
+  /// Allocated bytes of this node's mechanism state: the update batcher,
+  /// the location cache, and this LHAgent's share of its snapshot — the
+  /// snapshot's bytes divided by the number of holders, so a sum over the
+  /// LHAgents sharing it counts it once (less under 1 byte per holder of
+  /// rounding). Feeds `HashLocationScheme::estimated_resident_bytes`.
   std::size_t resident_bytes() const noexcept {
-    std::size_t bytes = tree_.serialized_bytes();
+    std::size_t bytes = tree_->resident_bytes() /
+                        static_cast<std::size_t>(tree_.use_count());
     if (batcher_ != nullptr) bytes += batcher_->resident_bytes();
     if (cache_ != nullptr) bytes += cache_->resident_bytes();
     return bytes;
@@ -118,7 +129,7 @@ class LHAgent : public platform::Agent {
   platform::AgentAddress hagent_;  ///< current coordinator
   int failover_threshold_ = 2;
   int consecutive_failures_ = 0;
-  hashtree::HashTree tree_;
+  hashtree::Snapshot tree_;
   bool pull_in_flight_ = false;
   std::vector<std::function<void()>> waiters_;
   std::unique_ptr<UpdateBatcher> batcher_;

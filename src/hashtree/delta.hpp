@@ -64,12 +64,15 @@ struct TreeDelta {
   std::size_t serialized_bytes() const;
 
   /// Replay onto `tree`; throws `std::logic_error` when the tree is not at
-  /// `base_version` or the replay does not land on `target_version`.
+  /// `base_version` or the replay does not land on `target_version`. The
+  /// target check comes after the replay, so a throw can leave `tree`
+  /// part-applied: a reader that must never see that replays onto a copy
+  /// (the LHAgent's copy-on-write refresh).
   ///
   /// Single pass: the leaf index is pre-sized for the replay's net split
   /// count, and each op patches the tree's compiled router and leaf index
   /// fused with the structural change (no post-replay reindex or rebuild) —
-  /// a warm LHAgent router survives the whole delta O(changed).
+  /// a warm router survives the whole delta O(changed).
   void apply_to(HashTree& tree) const;
 };
 

@@ -85,6 +85,12 @@ HashTree::Target CompiledRouter::route(
   return HashTree::Target{e->iagent, e->location};
 }
 
+std::size_t CompiledRouter::resident_bytes() const noexcept {
+  return sizeof(CompiledRouter) + entries_.capacity() * sizeof(Entry) +
+         leaf_index_.capacity() * (sizeof(IAgentId) + sizeof(std::uint32_t)) +
+         free_.capacity() * sizeof(std::uint32_t);
+}
+
 std::uint32_t CompiledRouter::alloc_entry() {
   if (!free_.empty()) {
     const std::uint32_t idx = free_.back();

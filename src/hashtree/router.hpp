@@ -114,6 +114,9 @@ class CompiledRouter {
   }
   std::size_t free_slots() const noexcept { return free_.size(); }
 
+  /// Allocated bytes: the entry array, the leaf index and the free list.
+  std::size_t resident_bytes() const noexcept;
+
   /// --- Introspection for tests and benches --------------------------------
   std::uint64_t rebuilds() const noexcept { return rebuilds_; }
   std::uint64_t patches() const noexcept { return patches_; }

@@ -221,10 +221,26 @@ const CompiledRouter& HashTree::router() const {
   return *router_;
 }
 
+std::size_t HashTree::resident_bytes() const noexcept {
+  // A full binary tree with L leaves has 2L − 1 nodes.
+  std::size_t bytes =
+      sizeof(HashTree) + (2 * leaf_index_.size() - 1) * sizeof(Node) +
+      leaf_index_.capacity() * (sizeof(IAgentId) + sizeof(Node*));
+  if (router_ != nullptr) bytes += router_->resident_bytes();
+  return bytes;
+}
+
+Snapshot make_snapshot(HashTree tree) {
+  tree.router();
+  return std::make_shared<const HashTree>(std::move(tree));
+}
+
+bool HashTree::router_fresh() const noexcept {
+  return router_ != nullptr && router_->fresh(*this);
+}
+
 CompiledRouter* HashTree::patchable_router() noexcept {
-  return incremental_router_ && router_ != nullptr && router_->fresh(*this)
-             ? router_.get()
-             : nullptr;
+  return incremental_router_ && router_fresh() ? router_.get() : nullptr;
 }
 
 std::uint32_t HashTree::consumed_bits(const Node* leaf) noexcept {

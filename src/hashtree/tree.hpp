@@ -69,12 +69,13 @@ class CompiledRouter;
 ///   before the first discrimination (needed so merges at the root preserve
 ///   the bit positions of the surviving subtree — see DESIGN.md §6).
 ///
-/// The class is a value type: LHAgents hold deep copies of the HAgent's
-/// primary instance. Every mutation bumps `version()`, which is the staleness
-/// token the paper's update-propagation protocol compares. A mutation whose
-/// tree holds a fresh compiled router additionally patches the router in
-/// place (O(path), DESIGN.md §11), so the read path survives rehash storms
-/// without going cold.
+/// The class is a value type: the HAgent owns the primary instance, and
+/// LHAgents read immutable copies of it through shared `Snapshot`s (see
+/// `make_snapshot`; DESIGN.md §9). Every mutation bumps `version()`, which is
+/// the staleness token the paper's update-propagation protocol compares. A
+/// mutation whose tree holds a fresh compiled router additionally patches the
+/// router in place (O(path), DESIGN.md §11), so the read path survives rehash
+/// storms without going cold.
 class HashTree {
  public:
   /// A tree with a single leaf: one IAgent responsible for every agent.
@@ -110,11 +111,15 @@ class HashTree {
   /// The compiled read path. While the router is fresh every mutation keeps
   /// it fresh by patching (see class comment); this call recompiles only
   /// when the router is cold (first lookup, copies, deserialized trees,
-  /// fragmentation-triggered compaction). Note this lazily mutates internal
-  /// state: concurrent first-lookups on a shared stale tree would race
-  /// (each sim instance is single-threaded; parallel sweeps clone per
-  /// worker).
+  /// fragmentation-triggered compaction). The recompile mutates internal
+  /// state behind `const`, so a tree read by several owners must be compiled
+  /// before it is shared: `make_snapshot` does that, and on a snapshot this
+  /// call never writes.
   const CompiledRouter& router() const;
+
+  /// True when the router is compiled for the current version, i.e.
+  /// `router()` would return it without writing. Holds for every snapshot.
+  bool router_fresh() const noexcept;
 
   /// Disable (or re-enable) in-place router patching. With patching off,
   /// every mutation leaves the router stale and the next lookup pays a full
@@ -246,6 +251,13 @@ class HashTree {
   /// before encoding either.
   std::size_t serialized_bytes() const;
 
+  /// Allocated bytes of this instance: its pool nodes (2L−1 of them, labels
+  /// up to `util::BitString::kInlineBits` bits inside each; a longer
+  /// label's heap words are not counted), the leaf index and, once
+  /// compiled, the router's entries, index and free list. What a snapshot
+  /// costs in memory, where `serialized_bytes` is its wire size.
+  std::size_t resident_bytes() const noexcept;
+
   /// Structural equality (labels, leaves, locations; version included).
   friend bool operator==(const HashTree& a, const HashTree& b);
 
@@ -316,5 +328,16 @@ class HashTree {
   mutable std::unique_ptr<CompiledRouter> router_;
   bool incremental_router_ = true;
 };
+
+/// An immutable hash tree that several readers hold at once — the LHAgents'
+/// secondary copy (paper §2.2), one instance shared by every node that has
+/// not refreshed since. Readers never mutate it; a refresh builds a new
+/// snapshot and swaps its own pointer (copy-on-write).
+using Snapshot = std::shared_ptr<const HashTree>;
+
+/// Freeze `tree` into a snapshot. Compiles the router first, so
+/// `router()`'s lazy recompile never runs on a shared tree. The only way
+/// snapshots should be made.
+Snapshot make_snapshot(HashTree tree);
 
 }  // namespace agentloc::hashtree

@@ -2,15 +2,57 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "core/hagent.hpp"
 #include "core/iagent.hpp"
+#include "hashtree/delta.hpp"
 #include "test_cluster.hpp"
+#include "util/bytebuffer.hpp"
 
 namespace agentloc::core {
 namespace {
 
 using testing::ScriptAgent;
 using testing::TestCluster;
+
+/// Stands in for the HAgent: answers every delta pull with `delta`, and
+/// holds a full pull until the test calls `release_full`.
+class ScriptedCoordinator : public platform::Agent {
+ public:
+  std::string kind() const override { return "scripted-coordinator"; }
+
+  void on_message(const platform::Message& message) override {
+    const auto* pull = message.body_as<HashPullRequest>();
+    if (pull == nullptr) return;
+    if (pull->force_full) {
+      held_full = message;
+      full_have_version = pull->have_version;
+      return;
+    }
+    HashPullReply reply;
+    reply.is_delta = true;
+    util::ByteWriter writer;
+    delta.serialize(writer);
+    reply.payload = std::move(writer).take();
+    const std::size_t bytes = reply.wire_bytes();
+    system().reply(message, id(), std::move(reply), bytes);
+  }
+
+  void release_full(const hashtree::HashTree& tree) {
+    HashPullReply reply;
+    util::ByteWriter writer;
+    tree.serialize(writer);
+    reply.payload = std::move(writer).take();
+    const std::size_t bytes = reply.wire_bytes();
+    system().reply(*held_full, id(), std::move(reply), bytes);
+  }
+
+  hashtree::TreeDelta delta;
+  std::optional<platform::Message> held_full;
+  std::uint64_t full_have_version = 0;
+};
 
 class LHAgentTest : public ::testing::Test {
  protected:
@@ -20,7 +62,8 @@ class LHAgentTest : public ::testing::Test {
     hagent_ = &cluster_.system.create<HAgent>(0, config_);
     first_iagent_ = hagent_->bootstrap(1);
     lhagent_ = &cluster_.system.create<LHAgent>(
-        2, platform::AgentAddress{0, hagent_->id()}, hagent_->tree());
+        2, platform::AgentAddress{0, hagent_->id()},
+        hashtree::make_snapshot(hagent_->tree()));
     cluster_.run_for(sim::SimTime::millis(10));
   }
 
@@ -117,7 +160,8 @@ TEST_F(LHAgentTest, FullSnapshotWhenDeltaDisabled) {
   HAgent& plain_hagent = cluster_.system.create<HAgent>(3, config_);
   plain_hagent.bootstrap(1);
   LHAgent& plain_lh = cluster_.system.create<LHAgent>(
-      2, platform::AgentAddress{3, plain_hagent.id()}, plain_hagent.tree());
+      2, platform::AgentAddress{3, plain_hagent.id()},
+      hashtree::make_snapshot(plain_hagent.tree()));
   cluster_.run_for(sim::SimTime::millis(10));
   plain_lh.refresh([] {});
   cluster_.run_for(sim::SimTime::millis(50));
@@ -133,6 +177,83 @@ TEST_F(LHAgentTest, RefreshNeverRegresses) {
   EXPECT_TRUE(ran);
   EXPECT_EQ(lhagent_->version(), hagent_->tree().version());
   EXPECT_EQ(lhagent_->known_iagents(), 1u);
+}
+
+TEST_F(LHAgentTest, DeltaThatMissesItsTargetLeavesTheCopyUntouched) {
+  // The delta's split replays cleanly, but it claims a target version the
+  // replay cannot reach. The copy must not keep the replayed split while
+  // the fallback full pull is in flight.
+  ScriptedCoordinator& coordinator =
+      cluster_.system.create<ScriptedCoordinator>(3);
+  const hashtree::Snapshot start = hashtree::make_snapshot(hagent_->tree());
+  LHAgent& copy = cluster_.system.create<LHAgent>(
+      2, platform::AgentAddress{3, coordinator.id()}, start);
+  const std::uint64_t version = copy.version();
+  const std::vector<platform::AgentId> ids = {
+      0x0ull, 0x1ull, 0x4000000000000000ull, 0x8000000000000000ull,
+      0xc000000000000001ull, 0xffffffffffffffffull};
+  std::vector<platform::AgentAddress> routes;
+  for (const platform::AgentId id : ids) routes.push_back(copy.resolve(id));
+
+  const platform::AgentId new_iagent = 999;
+  hashtree::TreeOp split;
+  split.kind = hashtree::TreeOp::Kind::kSimpleSplit;
+  split.victim = first_iagent_;
+  split.m = 1;
+  split.new_iagent = new_iagent;
+  split.location = 3;
+  coordinator.delta.base_version = version;
+  coordinator.delta.target_version = version + 5;
+  coordinator.delta.ops.push_back(split);
+
+  bool done = false;
+  copy.refresh([&] { done = true; });
+  cluster_.run_for(sim::SimTime::millis(50));
+  ASSERT_TRUE(coordinator.held_full.has_value());
+  EXPECT_EQ(copy.stats().delta_fallbacks, 1u);
+  EXPECT_FALSE(done);
+  EXPECT_EQ(copy.version(), version);
+  EXPECT_EQ(copy.known_iagents(), 1u);
+  EXPECT_EQ(&copy.tree(), start.get());
+  EXPECT_EQ(coordinator.full_have_version, version);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    EXPECT_EQ(copy.resolve(ids[i]).agent, routes[i].agent);
+    EXPECT_EQ(copy.resolve(ids[i]).node, routes[i].node);
+  }
+
+  // The fallback full pull still completes and installs the snapshot.
+  hashtree::HashTree primary = hagent_->tree();
+  primary.simple_split(first_iagent_, 1, new_iagent, 3);
+  coordinator.release_full(primary);
+  cluster_.run_for(sim::SimTime::millis(50));
+  EXPECT_TRUE(done);
+  EXPECT_EQ(copy.stats().refreshes_completed, 1u);
+  EXPECT_EQ(copy.version(), primary.version());
+  EXPECT_EQ(copy.tree(), primary);
+  EXPECT_EQ(copy.resolve(0xffffffffffffffffull).agent, new_iagent);
+}
+
+TEST_F(LHAgentTest, LHAgentsSharingASnapshotCountItsBytesOnce) {
+  hashtree::Snapshot snapshot = hashtree::make_snapshot(hagent_->tree());
+  const std::size_t snapshot_bytes = snapshot->resident_bytes();
+  constexpr std::size_t kHolders = 5;
+  std::vector<LHAgent*> holders;
+  for (std::size_t i = 0; i < kHolders; ++i) {
+    holders.push_back(&cluster_.system.create<LHAgent>(
+        2, platform::AgentAddress{0, hagent_->id()}, snapshot));
+  }
+  snapshot.reset();
+
+  std::size_t total = 0;
+  for (const LHAgent* holder : holders) {
+    EXPECT_EQ(&holder->tree(), &holders.front()->tree());
+    total += holder->resident_bytes();
+  }
+  // Each holder counts its share; the shares sum to the snapshot once,
+  // less under one byte per holder of rounding.
+  EXPECT_LE(total, snapshot_bytes);
+  EXPECT_GT(total + kHolders, snapshot_bytes);
+  EXPECT_GT(snapshot_bytes, hagent_->tree().serialized_bytes());
 }
 
 }  // namespace

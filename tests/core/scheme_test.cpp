@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <set>
+#include <vector>
 
 #include "core/centralized_scheme.hpp"
 #include "core/forwarding_scheme.hpp"
@@ -294,6 +296,79 @@ TEST_F(HashSchemeTest, TrackerCountFollowsTree) {
   force_split(0x4242424242424242ull);
   EXPECT_EQ(scheme_->tracker_count(),
             hash_scheme().hagent().iagent_count());
+}
+
+TEST_F(HashSchemeTest, EveryNodeSharesOneCompiledSnapshot) {
+  const hashtree::HashTree& shared = hash_scheme().lhagent(0).tree();
+  // Compiled before it was shared: no lookup ever recompiles it in place.
+  EXPECT_TRUE(shared.router_fresh());
+  EXPECT_EQ(shared, hash_scheme().hagent().tree());
+  for (net::NodeId node = 1; node < 8; ++node) {
+    EXPECT_EQ(&hash_scheme().lhagent(node).tree(), &shared);
+  }
+}
+
+TEST_F(HashSchemeTest, RefreshSwapsOnlyTheRefreshersSnapshot) {
+  const hashtree::HashTree* shared = &hash_scheme().lhagent(7).tree();
+  const std::uint64_t old_version = shared->version();
+  force_split(0x4242424242424242ull);  // driven from node 0
+  ASSERT_GT(hash_scheme().hagent().tree().version(), old_version);
+
+  LHAgent& refresher = hash_scheme().lhagent(7);
+  bool done = false;
+  refresher.refresh([&] { done = true; });
+  cluster_.run_for(sim::SimTime::millis(50));
+  ASSERT_TRUE(done);
+  EXPECT_EQ(refresher.version(), hash_scheme().hagent().tree().version());
+  EXPECT_NE(&refresher.tree(), shared);
+  EXPECT_TRUE(refresher.tree().router_fresh());
+
+  // The nodes that did not refresh keep the old snapshot, so the old
+  // version and its routing, which the split changed somewhere.
+  bool routing_differs = false;
+  for (net::NodeId node = 1; node < 7; ++node) {
+    LHAgent& stale = hash_scheme().lhagent(node);
+    EXPECT_EQ(&stale.tree(), shared);
+    EXPECT_EQ(stale.version(), old_version);
+    for (std::uint64_t v = 0; v < 256; ++v) {
+      const platform::AgentId id = v << 56;
+      routing_differs |= stale.resolve(id).agent != refresher.resolve(id).agent;
+    }
+  }
+  EXPECT_TRUE(routing_differs);
+}
+
+TEST(HashSchemeShardedTest, EachShardGetsItsOwnSnapshot) {
+  constexpr std::size_t kShards = 4;
+  std::vector<std::unique_ptr<sim::Simulator>> simulators;
+  std::vector<std::unique_ptr<net::Network>> networks;
+  std::vector<std::unique_ptr<platform::AgentSystem>> systems;
+  std::vector<platform::AgentSystem*> system_ptrs;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    simulators.push_back(std::make_unique<sim::Simulator>());
+    networks.push_back(std::make_unique<net::Network>(
+        *simulators.back(), kShards,
+        std::make_unique<net::FixedLatencyModel>(sim::SimTime::millis(1)),
+        util::Rng(7 + s)));
+    platform::AgentSystem::Config platform_config;
+    platform_config.id_stride = kShards;
+    platform_config.id_salt = s;
+    systems.push_back(std::make_unique<platform::AgentSystem>(
+        *simulators.back(), *networks.back(), platform_config));
+    system_ptrs.push_back(systems.back().get());
+  }
+
+  const auto schemes =
+      HashLocationScheme::build_sharded(system_ptrs, MechanismConfig{});
+  const hashtree::HashTree& primary = schemes[0]->hagent().tree();
+  std::set<const hashtree::HashTree*> snapshots;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    const hashtree::HashTree& tree =
+        schemes[s]->lhagent(static_cast<net::NodeId>(s)).tree();
+    EXPECT_TRUE(snapshots.insert(&tree).second) << "shard " << s;
+    EXPECT_TRUE(tree.router_fresh());
+    EXPECT_EQ(tree, primary);
+  }
 }
 
 // --- home-registry-specific -------------------------------------------------

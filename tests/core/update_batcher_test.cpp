@@ -24,7 +24,8 @@ class UpdateBatcherTest : public ::testing::Test {
     hagent_ = &cluster_.system.create<HAgent>(0, config_);
     first_iagent_ = hagent_->bootstrap(1);
     lhagent_ = &cluster_.system.create<LHAgent>(
-        2, platform::AgentAddress{0, hagent_->id()}, hagent_->tree());
+        2, platform::AgentAddress{0, hagent_->id()},
+        hashtree::make_snapshot(hagent_->tree()));
     cluster_.run_for(sim::SimTime::millis(10));
   }
 

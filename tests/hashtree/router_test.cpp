@@ -133,6 +133,33 @@ TEST(CompiledRouter, CopyAssignmentDropsStaleRouter) {
   }
 }
 
+TEST(CompiledRouter, SnapshotsAreCompiledBeforeTheyAreShared) {
+  HashTree tree(1, 0);
+  tree.simple_split(1, 1, 2, 5);
+  ASSERT_FALSE(tree.router_fresh());  // never read: cold
+
+  const Snapshot snapshot = make_snapshot(tree);
+  EXPECT_TRUE(snapshot->router_fresh());
+  EXPECT_EQ(snapshot->router().rebuilds(), 1u);
+  EXPECT_EQ(*snapshot, tree);
+}
+
+TEST(CompiledRouter, ResidentBytesCoverNodesIndexAndRouter) {
+  HashTree tree(1, 0);
+  const std::size_t single = tree.resident_bytes();
+  for (IAgentId next = 2; next <= 64; ++next) {
+    const auto all = tree.leaves();
+    tree.simple_split(all[next % all.size()], 1, next, 0);
+  }
+  const std::size_t cold = tree.resident_bytes();
+  EXPECT_GT(cold, single);
+  EXPECT_GT(cold, tree.serialized_bytes());
+
+  (void)tree.router();
+  EXPECT_GE(tree.resident_bytes(),
+            cold + (2 * 64 - 1) * sizeof(CompiledRouter::Entry));
+}
+
 TEST(CompiledRouter, MergeChurnTriggersOneCompactingRebuild) {
   HashTree tree(1, 0);
   IAgentId next_id = 2;
