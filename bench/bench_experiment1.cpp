@@ -10,8 +10,6 @@
 // Flags: --agents=10,20,30,50,100 --queries=2000 --repeats=2 --nodes=16
 //        --residence-ms=500 --seed=1 --schemes=centralized,hash
 //        --threads=0 (0 = one worker per hardware thread)
-//        --lp-threads=0 (>=1 shards the platform onto the parallel LP
-//        engine with that many workers; see DESIGN.md §16)
 //        --json-out=BENCH_experiment1.json
 
 #include <algorithm>
@@ -41,8 +39,6 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   std::size_t threads = static_cast<std::size_t>(flags.get_int("threads", 0));
   if (threads == 0) threads = util::ThreadPool::default_threads();
-  const auto lp_threads =
-      static_cast<std::size_t>(flags.get_int("lp-threads", 0));
   const std::string json_out =
       flags.get_string("json-out", "BENCH_experiment1.json");
   const std::string schemes_flag =
@@ -81,7 +77,6 @@ int main(int argc, char** argv) {
       config.residence = sim::SimTime::millis(residence_ms);
       config.total_queries = queries;
       config.seed = seed;
-      config.lp_threads = lp_threads;
       const auto start = std::chrono::steady_clock::now();
       const ExperimentResult result =
           workload::run_parallel(config, repeats, threads);
@@ -109,7 +104,6 @@ int main(int argc, char** argv) {
           .set("scheme", scheme)
           .set("tagents", static_cast<std::int64_t>(count))
           .set("threads", static_cast<std::uint64_t>(threads))
-          .set("lp_threads", static_cast<std::uint64_t>(lp_threads))
           .set("wall_seconds", wall)
           .set("events", result.events_executed)
           .set("events_per_sec",
@@ -139,7 +133,6 @@ int main(int argc, char** argv) {
   report.meta()
       .set("repeats", static_cast<std::uint64_t>(repeats))
       .set("threads", static_cast<std::uint64_t>(threads))
-      .set("lp_threads", static_cast<std::uint64_t>(lp_threads))
       .set("hardware_threads",
            static_cast<std::uint64_t>(util::ThreadPool::default_threads()))
       .set("queries", static_cast<std::uint64_t>(queries))

@@ -10,8 +10,6 @@
 // Flags: --residences-ms=100,200,500,1000,2000 --tagents=20 --queries=2000
 //        --repeats=2 --nodes=16 --seed=1 --schemes=centralized,hash
 //        --threads=0 (0 = one worker per hardware thread)
-//        --lp-threads=0 (>=1 shards the platform onto the parallel LP
-//        engine with that many workers; see DESIGN.md §16)
 //        --json-out=BENCH_experiment2.json
 
 #include <chrono>
@@ -40,8 +38,6 @@ int main(int argc, char** argv) {
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   std::size_t threads = static_cast<std::size_t>(flags.get_int("threads", 0));
   if (threads == 0) threads = util::ThreadPool::default_threads();
-  const auto lp_threads =
-      static_cast<std::size_t>(flags.get_int("lp-threads", 0));
   const std::string json_out =
       flags.get_string("json-out", "BENCH_experiment2.json");
   const std::string schemes_flag =
@@ -79,7 +75,6 @@ int main(int argc, char** argv) {
       config.residence = sim::SimTime::millis(static_cast<double>(residence));
       config.total_queries = queries;
       config.seed = seed;
-      config.lp_threads = lp_threads;
       const auto start = std::chrono::steady_clock::now();
       const ExperimentResult result =
           workload::run_parallel(config, repeats, threads);
@@ -108,7 +103,6 @@ int main(int argc, char** argv) {
           .set("scheme", scheme)
           .set("residence_ms", static_cast<std::int64_t>(residence))
           .set("threads", static_cast<std::uint64_t>(threads))
-          .set("lp_threads", static_cast<std::uint64_t>(lp_threads))
           .set("wall_seconds", wall)
           .set("events", result.events_executed)
           .set("events_per_sec",
@@ -135,7 +129,6 @@ int main(int argc, char** argv) {
   report.meta()
       .set("repeats", static_cast<std::uint64_t>(repeats))
       .set("threads", static_cast<std::uint64_t>(threads))
-      .set("lp_threads", static_cast<std::uint64_t>(lp_threads))
       .set("hardware_threads",
            static_cast<std::uint64_t>(util::ThreadPool::default_threads()))
       .set("tagents", static_cast<std::uint64_t>(tagents))

@@ -9,10 +9,6 @@
 // post-failover load surge that grows the IAgent population again.
 //
 // Flags: --tagents=40 --kill-s=40 --seed=1
-//        --lp-threads=0 (accepted for CLI parity with bench_experiment1/2
-//        and bench_scale; the scripted coordinator kill and mid-run
-//        residence surge need the sequential engine, so the bench always
-//        runs it and records lp_threads_effective=1)
 //        --json-out=BENCH_failover.json
 
 #include <cstdio>
@@ -34,14 +30,6 @@ int main(int argc, char** argv) {
   const auto tagents = static_cast<std::size_t>(flags.get_int("tagents", 40));
   const double kill_s = flags.get_double("kill-s", 40.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const auto lp_threads =
-      static_cast<std::size_t>(flags.get_int("lp-threads", 0));
-  if (lp_threads > 1) {
-    std::printf(
-        "note: --lp-threads=%zu requested; this bench's scripted kill "
-        "needs the sequential engine (lp_threads_effective=1)\n",
-        lp_threads);
-  }
   const std::string json_out =
       flags.get_string("json-out", "BENCH_failover.json");
 
@@ -138,9 +126,7 @@ int main(int argc, char** argv) {
   report.meta()
       .set("tagents", static_cast<std::uint64_t>(tagents))
       .set("kill_s", kill_s)
-      .set("seed", seed)
-      .set("lp_threads", static_cast<std::uint64_t>(lp_threads))
-      .set("lp_threads_effective", static_cast<std::uint64_t>(1));
+      .set("seed", seed);
   report.add_row()
       .set("promoted",
            backup->role() == core::HAgent::Role::kPrimary ? "yes" : "no")

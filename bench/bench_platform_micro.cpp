@@ -155,7 +155,7 @@ void BM_ServiceLookup(benchmark::State& state) {
 BENCHMARK(BM_ServiceLookup);
 
 void BM_FrameEncode(benchmark::State& state) {
-  // The wire layer's sender path (DESIGN.md §17): header + UpdateRequest
+  // The wire layer's sender path (DESIGN.md §15): header + UpdateRequest
   // payload encoded straight into pooled 16 KiB batch buffers, length slot
   // patched in place. Items = frames.
   constexpr std::size_t kBatchCap = 16u << 10;

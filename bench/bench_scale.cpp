@@ -1,4 +1,4 @@
-// Million-agent capacity sweep (ROADMAP item 1, DESIGN.md §15): one
+// Million-agent capacity sweep (ROADMAP item 1, DESIGN.md §14): one
 // fixed-seed experiment per {tagents} × {nodes} cell, reporting wall-clock
 // events/second, locate latency, and whole-mechanism bytes-per-agent.
 //
@@ -18,8 +18,6 @@
 // Flags: --smoke              (≤50k-agent PR-gate subset)
 //        --tagents-list=10000,100000,1000000 --nodes-list=64,256,1024
 //        --queries=2000 --seed=1 --json-out=BENCH_scale.json
-//        --lp-threads=0 (>=1 shards the platform onto the parallel LP
-//        engine with that many workers; see DESIGN.md §16)
 
 #include <chrono>
 #include <cstdio>
@@ -38,8 +36,7 @@ using workload::ExperimentResult;
 namespace {
 
 ExperimentConfig cell_config(std::size_t tagents, std::size_t nodes,
-                             std::size_t queries, std::uint64_t seed,
-                             std::size_t lp_threads) {
+                             std::size_t queries, std::uint64_t seed) {
   ExperimentConfig config;
   config.scheme = "hash";
   config.nodes = nodes;
@@ -66,7 +63,6 @@ ExperimentConfig cell_config(std::size_t tagents, std::size_t nodes,
   config.mechanism.t_max = 1e12;
   config.mechanism.t_min = 0.0;
   config.mechanism.initial_iagents = tagents / 4096 + 1;
-  config.lp_threads = lp_threads;
   return config;
 }
 
@@ -85,8 +81,6 @@ int main(int argc, char** argv) {
   const auto queries =
       static_cast<std::size_t>(flags.get_int("queries", 2000));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const auto lp_threads =
-      static_cast<std::size_t>(flags.get_int("lp-threads", 0));
   const std::string json_out =
       flags.get_string("json-out", smoke ? "BENCH_scale_smoke.json"
                                          : "BENCH_scale.json");
@@ -108,8 +102,7 @@ int main(int argc, char** argv) {
       if (tagents < 1 || nodes < 1) continue;
       const ExperimentConfig config =
           cell_config(static_cast<std::size_t>(tagents),
-                      static_cast<std::size_t>(nodes), queries, seed,
-                      lp_threads);
+                      static_cast<std::size_t>(nodes), queries, seed);
       const auto start = std::chrono::steady_clock::now();
       const ExperimentResult result = workload::run_experiment(config);
       const double wall = std::chrono::duration<double>(
@@ -144,9 +137,6 @@ int main(int argc, char** argv) {
                            "/nodes=" + std::to_string(nodes))
           .set("tagents", static_cast<std::uint64_t>(tagents))
           .set("nodes", static_cast<std::uint64_t>(nodes))
-          .set("lp_threads", static_cast<std::uint64_t>(lp_threads))
-          .set("lp_threads_effective",
-               static_cast<std::uint64_t>(result.lp_threads_used))
           .set("wall_seconds", wall)
           .set("events", result.events_executed)
           .set("items_per_second", events_per_sec)
@@ -172,7 +162,6 @@ int main(int argc, char** argv) {
   report.meta()
       .set("queries", static_cast<std::uint64_t>(queries))
       .set("seed", seed)
-      .set("lp_threads", static_cast<std::uint64_t>(lp_threads))
       .set("smoke", smoke ? std::int64_t{1} : std::int64_t{0})
       // Worst cell in the sweep: the values the lower-is-better gate tracks.
       .set("bytes_per_agent", worst_bytes_per_agent)

@@ -1,5 +1,5 @@
 // Transport-plane benchmark (A14): the zero-copy frame codec and the real
-// socket backend, measured at the three levels DESIGN.md §17 argues about:
+// socket backend, measured at the three levels DESIGN.md §15 argues about:
 //
 //   1. frame_encode / frame_decode — codec throughput, single-threaded,
 //      pooled buffers (acceptance floor: ≥ 1M frames/s each);

@@ -33,7 +33,6 @@ agentloc_add_bench(bench_ablation_locality bench_ablation_locality.cpp agentloc_
 agentloc_add_bench(bench_ablation_ids bench_ablation_ids.cpp agentloc_workload)
 agentloc_add_bench(bench_ablation_batching bench_ablation_batching.cpp agentloc_workload)
 agentloc_add_bench(bench_ablation_cache bench_ablation_cache.cpp agentloc_workload)
-agentloc_add_bench(bench_parallel_scale bench_parallel_scale.cpp agentloc_workload)
 agentloc_add_bench(bench_scale bench_scale.cpp agentloc_workload)
 agentloc_add_bench(bench_overhead bench_overhead.cpp agentloc_workload)
 agentloc_add_bench(bench_failover bench_failover.cpp agentloc_workload)

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 smoke for the socket transport (DESIGN.md §17), three rounds:
+# Tier-1 smoke for the socket transport (DESIGN.md §15), three rounds:
 #   1. UDS loopback — agentlocd on a unix socket, verified loadgen;
 #   2. TCP loopback — the same pair over tcp:127.0.0.1;
 #   3. multi-worker — agentlocd --workers 4, loadgen --cluster routing via

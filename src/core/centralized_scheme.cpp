@@ -34,48 +34,6 @@ CentralizedLocationScheme::CentralizedLocationScheme(
   tracker_address_ = platform::AgentAddress{tracker_node, tracker_->id()};
 }
 
-CentralizedLocationScheme::CentralizedLocationScheme(
-    platform::AgentSystem& system, MechanismConfig config,
-    platform::AgentAddress tracker)
-    : system_(system), config_(config), tracker_address_(tracker) {}
-
-std::vector<std::unique_ptr<CentralizedLocationScheme>>
-CentralizedLocationScheme::build_sharded(
-    const std::vector<platform::AgentSystem*>& systems,
-    const MechanismConfig& config, net::NodeId tracker_node) {
-  std::vector<std::unique_ptr<CentralizedLocationScheme>> schemes;
-  schemes.reserve(systems.size());
-  // The owner shard creates the tracker; every other shard gets a client
-  // instance pointed at it (setup is serial, the address is known first).
-  auto owner = std::make_unique<CentralizedLocationScheme>(
-      *systems[tracker_node], config, tracker_node);
-  const platform::AgentAddress tracker = owner->tracker_address_;
-  for (std::size_t s = 0; s < systems.size(); ++s) {
-    if (s == tracker_node) {
-      schemes.push_back(std::move(owner));
-    } else {
-      schemes.push_back(std::make_unique<CentralizedLocationScheme>(
-          *systems[s], config, tracker));
-    }
-  }
-  return schemes;
-}
-
-LocationScheme::ClientState CentralizedLocationScheme::export_client_state(
-    platform::AgentId agent) {
-  ClientState state;
-  if (const std::uint64_t* seq = seqs_.find(agent)) {
-    state.seq = *seq;
-    seqs_.erase(agent);
-  }
-  return state;
-}
-
-void CentralizedLocationScheme::import_client_state(platform::AgentId agent,
-                                                    const ClientState& state) {
-  if (state.seq != 0) seqs_[agent] = state.seq;
-}
-
 void CentralizedLocationScheme::register_agent(platform::Agent& self,
                                                std::function<void(bool)> done) {
   ++stats_.registers;

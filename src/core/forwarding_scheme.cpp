@@ -50,58 +50,6 @@ ForwardingLocationScheme::ForwardingLocationScheme(
   }
 }
 
-ForwardingLocationScheme::ForwardingLocationScheme(
-    ShardedTag, platform::AgentSystem& system, MechanismConfig config)
-    : system_(system), config_(config) {}
-
-std::vector<std::unique_ptr<ForwardingLocationScheme>>
-ForwardingLocationScheme::build_sharded(
-    const std::vector<platform::AgentSystem*>& systems,
-    const MechanismConfig& config, net::NodeId name_service_node) {
-  const std::size_t shards = systems.size();
-  std::vector<std::unique_ptr<ForwardingLocationScheme>> schemes;
-  schemes.reserve(shards);
-  std::vector<platform::AgentAddress> addresses(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    const net::NodeId node = static_cast<net::NodeId>(s);
-    schemes.emplace_back(
-        new ForwardingLocationScheme(ShardedTag{}, *systems[s], config));
-    ForwarderAgent& forwarder = systems[s]->create<ForwarderAgent>(node);
-    schemes.back()->forwarders_.push_back(&forwarder);
-    addresses[s] = platform::AgentAddress{node, forwarder.id()};
-  }
-  CentralTracker& name_service =
-      systems[name_service_node]->create<CentralTracker>(name_service_node);
-  schemes[name_service_node]->name_service_ = &name_service;
-  const platform::AgentAddress name_service_address{name_service_node,
-                                                    name_service.id()};
-  for (std::size_t s = 0; s < shards; ++s) {
-    schemes[s]->forwarder_addresses_ = addresses;
-    schemes[s]->name_service_address_ = name_service_address;
-  }
-  return schemes;
-}
-
-LocationScheme::ClientState ForwardingLocationScheme::export_client_state(
-    platform::AgentId agent) {
-  ClientState state;
-  if (const std::uint64_t* seq = seqs_.find(agent)) {
-    state.seq = *seq;
-    seqs_.erase(agent);
-  }
-  if (const net::NodeId* last = last_node_.find(agent)) {
-    state.last_node = *last;
-    last_node_.erase(agent);
-  }
-  return state;
-}
-
-void ForwardingLocationScheme::import_client_state(platform::AgentId agent,
-                                                   const ClientState& state) {
-  if (state.seq != 0) seqs_[agent] = state.seq;
-  if (state.last_node != net::kNoNode) last_node_[agent] = state.last_node;
-}
-
 void ForwardingLocationScheme::register_agent(platform::Agent& self,
                                               std::function<void(bool)> done) {
   ++stats_.registers;

@@ -22,7 +22,6 @@ std::vector<platform::AgentAddress> HAgent::coordinator_list() const {
 }
 
 platform::AgentId HAgent::spawn_iagent(net::NodeId node) {
-  if (spawner_) return spawner_(node, config_, coordinator_list());
   return system().create<IAgent>(node, config_, coordinator_list()).id();
 }
 
@@ -30,7 +29,7 @@ platform::AgentId HAgent::bootstrap(net::NodeId first_node) {
   const platform::AgentId first = spawn_iagent(first_node);
   tree_.emplace(first, first_node);
 
-  // Optional capacity pre-split (DESIGN.md §15): grow the tree to
+  // Optional capacity pre-split (DESIGN.md §14): grow the tree to
   // `initial_iagents` leaves (rounded up to a power of two) before any
   // traffic, by splitting every leaf once per round on its first unused
   // bit. Tables are empty, so no handoffs are owed — each leaf just gets
@@ -252,10 +251,8 @@ void HAgent::handle_split(const platform::Message& message,
   const SplitPlan plan =
       plan_split(*tree_, victim, request.loads, config_);
 
-  // Create the new IAgent (on whichever shard owns its node), apply the
-  // split to the primary copy, then ship new responsibilities to every leaf
-  // whose predicate changed. The spawner returns the minted id immediately;
-  // a cross-shard install envelope lands before any grant below.
+  // Create the new IAgent, apply the split to the primary copy, then ship
+  // new responsibilities to every leaf whose predicate changed.
   const net::NodeId new_node = place_new_iagent();
   const platform::AgentId fresh_id = spawn_iagent(new_node);
 

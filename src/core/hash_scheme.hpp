@@ -33,18 +33,6 @@ class HashLocationScheme : public LocationScheme {
   HashLocationScheme(platform::AgentSystem& system, MechanismConfig config,
                      net::NodeId hagent_node = 0);
 
-  /// Sharded deployment (DESIGN.md §16): one scheme instance per shard, over
-  /// per-shard systems indexed by node (shard index == node id). The HAgent
-  /// lives on `hagent_node`'s shard, the optional standby on the far shard,
-  /// and each shard owns its node's LHAgent; every instance carries the full
-  /// LHAgent address table so cache probes can target remote nodes. Setup is
-  /// serial: IAgents bootstrap through a direct-install spawner; the caller
-  /// must install a cross-LP runtime spawner on `hagent()` (and the backup)
-  /// before the engine starts.
-  static std::vector<std::unique_ptr<HashLocationScheme>> build_sharded(
-      const std::vector<platform::AgentSystem*>& systems,
-      const MechanismConfig& config, net::NodeId hagent_node = 0);
-
   std::string name() const override { return "hash"; }
 
   void register_agent(platform::Agent& self,
@@ -74,23 +62,10 @@ class HashLocationScheme : public LocationScheme {
   void reserve(std::size_t agents) override;
 
   std::size_t tracker_count() const override {
-    if (sharded_) {
-      // Only the shard hosting the primary reports, so the cross-shard sum
-      // equals the leaf count once (the standby shard would double it).
-      return hagent_ != nullptr ? hagent_->iagent_count() : 0;
-    }
     if (!system_.exists(hagent_id_) && backup_ != nullptr) {
       return backup_->iagent_count();
     }
     return hagent_->iagent_count();
-  }
-
-  /// Sharded bookkeeping: remember an IAgent installed on this shard so the
-  /// resident-byte estimate and table pre-sizing can enumerate it (the tree
-  /// walk only finds IAgents local to the primary's shard). Ids may go stale
-  /// (retirement, locality moves) — consumers null-check the lookup.
-  void note_local_iagent(platform::AgentId id) {
-    known_iagents_.push_back(id);
   }
 
   /// Guaranteed-discovery extension (paper §6 future work): subscribe to
@@ -107,11 +82,6 @@ class HashLocationScheme : public LocationScheme {
   void watch(platform::Agent& requester, platform::AgentId target,
              std::function<void(const WatchOutcome&)> done);
 
-  /// Per-agent update seq, moved with a client that crosses shards.
-  ClientState export_client_state(platform::AgentId agent) override;
-  void import_client_state(platform::AgentId agent,
-                           const ClientState& state) override;
-
   /// White-box accessors for tests and benches. `hagent()` returns the
   /// coordinator that currently holds (or, before a promotion, last held)
   /// the primary role; with replication enabled, `backup_hagent()` is the
@@ -125,13 +95,8 @@ class HashLocationScheme : public LocationScheme {
   const MechanismConfig& config() const noexcept { return config_; }
 
  private:
-  struct ShardedTag {};
-  HashLocationScheme(ShardedTag, platform::AgentSystem& system,
-                     MechanismConfig config);
-
-  /// The LHAgent serving `node`, addressable from any shard.
+  /// The LHAgent serving `node`.
   platform::AgentAddress lhagent_address(net::NodeId node) const {
-    if (sharded_) return lhagent_addresses_[node];
     return platform::AgentAddress{node, lhagents_[node]->id()};
   }
 
@@ -203,12 +168,7 @@ class HashLocationScheme : public LocationScheme {
   // which dangles once the primary is disposed (e.g. in failover tests).
   platform::AgentId hagent_id_ = platform::kNoAgent;
   HAgent* backup_ = nullptr;
-  std::vector<LHAgent*> lhagents_;  ///< sharded: non-null at own node only
-  /// Sharded deployment state (empty/false in the single-system case).
-  bool sharded_ = false;
-  std::vector<platform::AgentAddress> lhagent_addresses_;
-  std::vector<platform::AgentId> known_iagents_;
-  std::size_t sharded_total_iagents_ = 0;  ///< leaf count at build time
+  std::vector<LHAgent*> lhagents_;
   /// Per-agent update sequence numbers. Open-addressing flat storage: at
   /// million-agent populations this table holds one slot per tracked agent,
   /// so the node-and-bucket overhead of `std::unordered_map` (~56 bytes per

@@ -13,52 +13,10 @@ HomeRegistryLocationScheme::HomeRegistryLocationScheme(
   }
 }
 
-HomeRegistryLocationScheme::HomeRegistryLocationScheme(
-    ShardedTag, platform::AgentSystem& system, MechanismConfig config)
-    : system_(system), config_(config) {}
-
-std::vector<std::unique_ptr<HomeRegistryLocationScheme>>
-HomeRegistryLocationScheme::build_sharded(
-    const std::vector<platform::AgentSystem*>& systems,
-    const MechanismConfig& config) {
-  const std::size_t shards = systems.size();
-  std::vector<std::unique_ptr<HomeRegistryLocationScheme>> schemes;
-  schemes.reserve(shards);
-  std::vector<platform::AgentAddress> addresses(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    const net::NodeId node = static_cast<net::NodeId>(s);
-    schemes.emplace_back(
-        new HomeRegistryLocationScheme(ShardedTag{}, *systems[s], config));
-    CentralTracker& registry = systems[s]->create<CentralTracker>(node);
-    schemes.back()->registries_.push_back(&registry);
-    addresses[s] = platform::AgentAddress{node, registry.id()};
-  }
-  for (std::size_t s = 0; s < shards; ++s) {
-    schemes[s]->registry_addresses_ = addresses;
-  }
-  return schemes;
-}
-
 platform::AgentAddress HomeRegistryLocationScheme::home_of(
     platform::AgentId agent) const {
-  const auto node = static_cast<net::NodeId>(agent % home_count());
-  if (!registry_addresses_.empty()) return registry_addresses_[node];
+  const auto node = static_cast<net::NodeId>(agent % registries_.size());
   return platform::AgentAddress{node, registries_[node]->id()};
-}
-
-LocationScheme::ClientState HomeRegistryLocationScheme::export_client_state(
-    platform::AgentId agent) {
-  ClientState state;
-  if (const std::uint64_t* seq = seqs_.find(agent)) {
-    state.seq = *seq;
-    seqs_.erase(agent);
-  }
-  return state;
-}
-
-void HomeRegistryLocationScheme::import_client_state(platform::AgentId agent,
-                                                     const ClientState& state) {
-  if (state.seq != 0) seqs_[agent] = state.seq;
 }
 
 void HomeRegistryLocationScheme::register_agent(

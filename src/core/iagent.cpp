@@ -42,20 +42,6 @@ void IAgent::on_start() {
   window_timer_->start();
 }
 
-void IAgent::on_extract() {
-  // Stop — don't destroy — the timer: a locality migration is triggered
-  // from inside its own tick, and the tick closure is a member of the timer
-  // object. The stopped timer still references the source shard's simulator
-  // (which outlives the run); on_shard_transfer replaces it.
-  window_timer_->stop();
-}
-
-void IAgent::on_shard_transfer() {
-  window_timer_ = std::make_unique<sim::PeriodicTimer>(
-      system().simulator(), config_.stats_window, [this] { roll_window(); });
-  window_timer_->start();
-}
-
 void IAgent::on_arrival(net::NodeId from_node) {
   (void)from_node;
   // Paper §7 locality extension: report the new location so the primary

@@ -124,29 +124,6 @@ class LocationScheme {
   /// would otherwise rehash every table repeatedly.
   virtual void reserve(std::size_t agents) { (void)agents; }
 
-  /// --- Sharded deployments (DESIGN.md §16) ------------------------------
-  /// Per-agent client-side state a scheme keeps on the agent's node (update
-  /// sequence number; the forwarding scheme also remembers the last node a
-  /// pointer was planted on). When an agent migrates to a node another
-  /// shard's scheme instance serves, the host moves this state with it:
-  /// `export_client_state` on the source shard (erasing the entry there),
-  /// `import_client_state` on the destination, between `adopt_migrated` and
-  /// `notify_arrival`.
-  struct ClientState {
-    std::uint64_t seq = 0;
-    net::NodeId last_node = net::kNoNode;
-  };
-
-  virtual ClientState export_client_state(platform::AgentId agent) {
-    (void)agent;
-    return {};
-  }
-  virtual void import_client_state(platform::AgentId agent,
-                                   const ClientState& state) {
-    (void)agent;
-    (void)state;
-  }
-
  protected:
   SchemeStats stats_;
 };

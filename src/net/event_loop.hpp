@@ -6,7 +6,7 @@
 
 namespace agentloc::net {
 
-/// Readiness-notification seam under `SocketTransport` (DESIGN.md §17).
+/// Readiness-notification seam under `SocketTransport` (DESIGN.md §15).
 ///
 /// The transport's turn loop only ever asks one question — "which of my fds
 /// are readable / writable right now?" — so the seam is exactly that: an

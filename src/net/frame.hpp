@@ -9,7 +9,7 @@
 
 namespace agentloc::net {
 
-/// --- Wire frame layout (DESIGN.md §17, docs/PROTOCOL.md §11) ---------------
+/// --- Wire frame layout (DESIGN.md §15, docs/PROTOCOL.md §11) ---------------
 ///
 ///   offset 0  magic        0xA6 (1 byte)
 ///          1  type         FrameType (1 byte)
@@ -30,7 +30,7 @@ namespace agentloc::net {
 /// wire-size accounting already pins down (`core/protocol.hpp`).
 
 /// Message types of the agentloc wire protocol (the daemon's RPC surface;
-/// DESIGN.md §17). Values are wire-stable: append, never renumber.
+/// DESIGN.md §15). Values are wire-stable: append, never renumber.
 enum class FrameType : std::uint8_t {
   kHello = 1,      ///< client → server: protocol version handshake
   kHelloAck = 2,   ///< server → client: version + partition/tree info
@@ -42,7 +42,7 @@ enum class FrameType : std::uint8_t {
   kPing = 8,
   kPong = 9,
   kError = 10,  ///< string diagnostic; the peer should close
-  /// Worker-shard advertisement (DESIGN.md §17). Client → server with an
+  /// Worker-shard advertisement (DESIGN.md §15). Client → server with an
   /// empty payload asks for the map; server → client carries worker count,
   /// partition count, tree version, per-worker addresses, and the
   /// leaf → worker ownership table.

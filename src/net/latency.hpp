@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <memory>
 
@@ -24,18 +23,6 @@ class LatencyModel {
 
   virtual sim::SimTime latency(NodeId from, NodeId to, std::size_t bytes,
                                util::Rng& rng) = 0;
-
-  /// Lower bound on the latency of any *cross-node* (`from != to`) message,
-  /// over all endpoint pairs and sizes. This is the conservative lookahead
-  /// of the parallel LP engine (DESIGN.md §13): an LP may safely run
-  /// `min_latency()` ahead of its peers because nothing they send now can
-  /// arrive sooner. Same-node (loopback) latency is deliberately excluded —
-  /// a loopback message never crosses an LP boundary. A model that cannot
-  /// promise a positive bound returns zero, which disables threaded LP
-  /// execution (the runner falls back to the sequential driver).
-  virtual sim::SimTime min_latency() const noexcept {
-    return sim::SimTime::zero();
-  }
 };
 
 /// Switched-LAN model calibrated to the paper's testbed (Sun Blades on a
@@ -57,9 +44,6 @@ class LanLatencyModel final : public LatencyModel {
   sim::SimTime latency(NodeId from, NodeId to, std::size_t bytes,
                        util::Rng& rng) override;
 
-  /// Cross-node floor: the fixed per-message cost (zero bytes, zero jitter).
-  sim::SimTime min_latency() const noexcept override { return config_.base; }
-
   const Config& config() const noexcept { return config_; }
 
  private:
@@ -74,8 +58,6 @@ class UniformLatencyModel final : public LatencyModel {
 
   sim::SimTime latency(NodeId from, NodeId to, std::size_t bytes,
                        util::Rng& rng) override;
-
-  sim::SimTime min_latency() const noexcept override { return lo_; }
 
  private:
   sim::SimTime lo_;
@@ -102,12 +84,6 @@ class ClusterLatencyModel final : public LatencyModel {
   sim::SimTime latency(NodeId from, NodeId to, std::size_t bytes,
                        util::Rng& rng) override;
 
-  /// Intra-cluster messages pay only the LAN leg, so the cross-node floor is
-  /// the LAN model's (the WAN hop only raises inter-cluster latencies).
-  sim::SimTime min_latency() const noexcept override {
-    return lan_.min_latency();
-  }
-
   bool same_cluster(NodeId a, NodeId b) const noexcept {
     return a / config_.cluster_size == b / config_.cluster_size;
   }
@@ -127,26 +103,10 @@ class FixedLatencyModel final : public LatencyModel {
     return value_;
   }
 
-  sim::SimTime min_latency() const noexcept override { return value_; }
-
  private:
   sim::SimTime value_;
 };
 
 std::unique_ptr<LatencyModel> make_default_lan_model();
-
-/// Sample `model` and, in debug builds, verify that the draw respects the
-/// model's declared `min_latency()` lower bound. The parallel LP engine
-/// trusts that bound as its lookahead, so a model undercutting it would
-/// silently corrupt the conservative synchronization — every sampling site
-/// (the Network, the LP runner) funnels through this check.
-inline sim::SimTime checked_latency(LatencyModel& model, NodeId from,
-                                    NodeId to, std::size_t bytes,
-                                    util::Rng& rng) {
-  const sim::SimTime value = model.latency(from, to, bytes, rng);
-  assert((from == to || value >= model.min_latency()) &&
-         "latency model returned a cross-node latency below min_latency()");
-  return value;
-}
 
 }  // namespace agentloc::net

@@ -17,7 +17,7 @@ namespace agentloc::net {
 /// socket) plus a `LocateService` with a full `LocateDirectory`. Nothing
 /// mutable is shared between workers: the only cross-thread state is the
 /// immutable `PartitionMap` built before the threads spawn and a handful of
-/// monotonic per-worker atomics for live observability (DESIGN.md §17).
+/// monotonic per-worker atomics for live observability (DESIGN.md §15).
 ///
 /// Sharding contract:
 ///  - worker k listens on `worker_address(base, k)` — worker 0 on the base

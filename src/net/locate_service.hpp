@@ -12,7 +12,7 @@
 
 namespace agentloc::net {
 
-/// Worker-shard advertisement (the kPartitionMap frame, DESIGN.md §17):
+/// Worker-shard advertisement (the kPartitionMap frame, DESIGN.md §15):
 /// how many workers serve a directory, which address each one listens on,
 /// and which worker owns each hash-tree leaf. Single-worker servers answer
 /// a degenerate map (workers=1, empty address = "the connection you

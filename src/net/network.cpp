@@ -52,11 +52,11 @@ TransmitPlan Network::plan_transmission(NodeId from, NodeId to,
     ++stats_.messages_dropped;
     return plan;
   }
-  plan.delay[0] = checked_latency(*latency_, from, to, bytes, rng_);
+  plan.delay[0] = latency_->latency(from, to, bytes, rng_);
   plan.copies = 1;
   if (from != to && rng_.chance(faults_.duplicate_probability)) {
     ++stats_.messages_duplicated;
-    plan.delay[1] = checked_latency(*latency_, from, to, bytes, rng_);
+    plan.delay[1] = latency_->latency(from, to, bytes, rng_);
     plan.copies = 2;
   }
   return plan;

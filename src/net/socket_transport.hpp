@@ -34,7 +34,7 @@ struct SocketAddress {
   std::string to_string() const;
 };
 
-/// Real-wire backend of the message plane (DESIGN.md §17).
+/// Real-wire backend of the message plane (DESIGN.md §15).
 ///
 /// Where `net::Transport` is the *planning* seam — simulated physics the
 /// platform consults for delay/copies — `SocketTransport` binds one layer

@@ -6,7 +6,7 @@
 
 namespace agentloc::net {
 
-/// The message-plane seam (DESIGN.md §17): everything the agent platform
+/// The message-plane seam (DESIGN.md §15): everything the agent platform
 /// asks of "the network" when it moves one payload between two nodes.
 ///
 /// The platform owns scheduling and delivery (inboxes, burst coalescing,
@@ -25,7 +25,7 @@ namespace agentloc::net {
 /// below this interface: it moves encoded `net::Frame`s between processes
 /// where there is no simulator to schedule into, so it binds at the wire
 /// (frame/fd) boundary instead of the planning boundary — see the backend
-/// matrix in DESIGN.md §17.
+/// matrix in DESIGN.md §15.
 ///
 /// Contract notes:
 ///  * `plan_transmission` must count the message and sample faults/latency

@@ -5,7 +5,6 @@
 #include <stdexcept>
 #include <type_traits>
 
-#include "platform/shard.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 
@@ -40,11 +39,8 @@ void AgentSystem::reserve(std::size_t agents) {
 AgentId AgentSystem::allocate_id() {
   for (;;) {
     ++id_counter_;
-    // Stride/salt partition the sequence across shards (Config::id_stride);
-    // the defaults (1, 0) leave it exactly the historic `++id_counter_`.
-    const std::uint64_t seq =
-        id_counter_ * config_.id_stride + config_.id_salt;
-    const AgentId id = config_.mixed_ids ? util::mix64(seq) : seq;
+    const AgentId id =
+        config_.mixed_ids ? util::mix64(id_counter_) : id_counter_;
     if (id != kNoAgent && !index_.contains(id)) return id;
   }
 }
@@ -85,7 +81,6 @@ void AgentSystem::release_record_slot(std::uint32_t slot) noexcept {
   record.state = State::kActive;
   record.serving = false;
   record.disposing = false;
-  record.departing = false;
   free_slots_.push_back(slot);
 }
 
@@ -131,11 +126,11 @@ void AgentSystem::drain_inbox_bouncing(Slot& record) {
   }
 }
 
-std::uint32_t AgentSystem::install_record(std::unique_ptr<Agent> owned,
-                                          AgentId id, net::NodeId node) {
+void AgentSystem::install(std::unique_ptr<Agent> owned, net::NodeId node) {
   if (node >= transport_->node_count()) {
     throw std::out_of_range("AgentSystem::create: node out of range");
   }
+  const AgentId id = allocate_id();
   Agent& agent = *owned;
   agent.system_ = this;
   agent.id_ = id;
@@ -149,55 +144,14 @@ std::uint32_t AgentSystem::install_record(std::unique_ptr<Agent> owned,
   agents_[slot] = std::move(owned);
   index_.emplace(id, slot);
   note_memory_high_water();
-  return slot;
-}
+  ++stats_.agents_created;
 
-void AgentSystem::schedule_on_start(std::uint32_t slot) {
-  const std::uint32_t generation = slots_[slot].generation;
+  const std::uint32_t generation = record.generation;
   simulator_.schedule_after(sim::SimTime::zero(), [this, slot, generation] {
     Slot& record = slots_[slot];
     if (record.generation != generation) return;
     agents_[slot]->on_start();
   });
-}
-
-void AgentSystem::install(std::unique_ptr<Agent> owned, net::NodeId node) {
-  const std::uint32_t slot =
-      install_record(std::move(owned), allocate_id(), node);
-  ++stats_.agents_created;
-  schedule_on_start(slot);
-}
-
-void AgentSystem::install_spawned(std::unique_ptr<Agent> owned, AgentId id,
-                                  net::NodeId node) {
-  if (id == kNoAgent || index_.contains(id)) {
-    throw std::logic_error("AgentSystem::install_spawned: id in use");
-  }
-  const std::uint32_t slot = install_record(std::move(owned), id, node);
-  ++stats_.agents_created;
-  schedule_on_start(slot);
-}
-
-void AgentSystem::adopt_migrated(std::unique_ptr<Agent> owned, AgentId id,
-                                 net::NodeId node) {
-  if (id == kNoAgent || index_.contains(id)) {
-    throw std::logic_error("AgentSystem::adopt_migrated: id in use");
-  }
-  const std::uint32_t slot = install_record(std::move(owned), id, node);
-  transport_->note_delivered(node);
-  ++stats_.migrations_completed;
-  agents_[slot]->on_shard_transfer();
-}
-
-void AgentSystem::notify_arrival(AgentId id, net::NodeId from_node) {
-  const std::uint32_t slot = record_index(id);
-  if (slot == kNoRecord) return;  // disposed between adopt and notify
-  agents_[slot]->on_arrival(from_node);
-}
-
-void AgentSystem::deliver_remote(net::NodeId node, Message message) {
-  transport_->note_delivered(node);
-  deliver(node, std::move(message));
 }
 
 void AgentSystem::dispose(AgentId id) {
@@ -258,11 +212,6 @@ void AgentSystem::migrate(AgentId id, net::NodeId destination) {
   if (record.state != State::kActive) {
     throw std::logic_error("AgentSystem::migrate: agent already in transit");
   }
-  if (host_ != nullptr && host_->shard_of(destination) != shard_index_) {
-    extract_and_ship(slot, destination);
-    return;
-  }
-
   const net::NodeId source = record.node;
   ++record.generation;
   record.state = State::kInTransit;
@@ -278,69 +227,6 @@ void AgentSystem::migrate(AgentId id, net::NodeId destination) {
   ++stats_.migrations_started;
   ship_migration(slot, record.generation, source, destination,
                  agents_[slot]->serialized_size());
-}
-
-void AgentSystem::extract_and_ship(std::uint32_t slot,
-                                   net::NodeId destination) {
-  const AgentId id = slots_[slot].id;
-  const net::NodeId source = slots_[slot].node;
-
-  // While the agent is still resident: fail its pending RPCs. Their
-  // callbacks capture `this` of the object about to move to another shard's
-  // thread, so they must run (or never run) here and now. `departing` makes
-  // any `request` the failure continuations issue fail synchronously too —
-  // mirroring the disposing path, so retry chains burn their attempts and
-  // give up reentrantly — while `send` stays legal for teardown messages.
-  slots_[slot].departing = true;
-  drop_rpcs_from(id);
-  // A failure continuation may (in principle) have disposed the agent; the
-  // record slot is then already recycled and there is nothing to ship.
-  if (slots_[slot].id != id) return;
-
-  // Re-index after every callback batch: the continuations may install
-  // agents, and slab growth reallocates the arrays.
-  util::RingBuffer<Message> inbox = std::move(slots_[slot].inbox);
-  while (!inbox.empty()) {
-    const Message message = inbox.pop_front();
-    bounce(message);
-  }
-  recycle_inbox(std::move(inbox));
-  unregister_agent_services(source, id);
-
-  const std::size_t bytes = agents_[slot]->serialized_size();
-  ++stats_.migrations_started;
-  agents_[slot]->on_extract();
-
-  std::unique_ptr<Agent> agent = std::move(agents_[slot]);
-  agent->node_ = net::kNoNode;
-  agent->system_ = nullptr;
-  index_.erase(id);
-  release_record_slot(slot);  // bumps the generation: queued serve events die
-  plan_remote_migration(std::move(agent), id, source, destination, bytes);
-}
-
-void AgentSystem::plan_remote_migration(std::unique_ptr<Agent> agent,
-                                        AgentId id, net::NodeId source,
-                                        net::NodeId destination,
-                                        std::size_t bytes) {
-  // Same RNG draw order as a `transport_->send` transfer. Sharded runs
-  // reject fault injection, so the plan normally admits exactly one copy;
-  // under a transient fault plan the transfer retries like the local path
-  // (reliable transport), keeping the agent alive in the retry closure.
-  const net::TransmitPlan plan =
-      transport_->plan_transmission(source, destination, bytes);
-  if (plan.copies == 0) {
-    simulator_.schedule_after(
-        config_.migration_retry,
-        [this, agent = std::move(agent), id, source, destination,
-         bytes]() mutable {
-          plan_remote_migration(std::move(agent), id, source, destination,
-                                bytes);
-        });
-    return;
-  }
-  host_->post_migration(shard_index_, std::move(agent), id, source,
-                        destination, simulator_.now() + plan.delay[0]);
 }
 
 void AgentSystem::ship_migration(std::uint32_t slot, std::uint32_t generation,
@@ -396,14 +282,12 @@ void AgentSystem::request(AgentId from, const AgentAddress& to,
   if (sender == nullptr || sender->state != State::kActive) {
     throw std::logic_error("AgentSystem::request: sender not active");
   }
-  if (sender->disposing || sender->departing) {
+  if (sender->disposing) {
     // drop_rpcs_from already ran for this agent, so an RPC registered now
     // would never be dropped and its callback would fire after the agent is
     // destroyed (retry loops reach here when a drop-induced failure resends
-    // from inside dispose) — or, for a departing agent, after the object
-    // moved to another shard's thread. Fail synchronously while the agent
-    // is alive; retry chains then burn their attempts and give up
-    // reentrantly.
+    // from inside dispose). Fail synchronously while the agent is alive;
+    // retry chains then burn their attempts and give up reentrantly.
     ++stats_.rpc_delivery_failures;
     RpcResult result;
     result.status = RpcResult::Status::kDeliveryFailure;
@@ -464,24 +348,6 @@ void AgentSystem::transmit(Message message, net::NodeId to_node) {
                     std::is_trivially_copyable_v<BurstEvent>,
                 "burst event must stay tiny and memcpy-relocatable");
   ++stats_.messages_sent;
-  if (host_ != nullptr && host_->shard_of(to_node) != shard_index_) {
-    // Cross-shard transmit: sample faults and latency on this shard's
-    // network (single-writer; draw order is this LP's deterministic event
-    // order), then ride the host's cross-LP channel. Bursts never coalesce
-    // across shards — each copy is one envelope, ordered at the destination
-    // by the engine's (time, src-LP, send-seq) key.
-    const net::TransmitPlan remote_plan = transport_->plan_transmission(
-        message.from_node, to_node, message.wire_bytes);
-    for (int copy = 0; copy < remote_plan.copies; ++copy) {
-      const sim::SimTime when = simulator_.now() + remote_plan.delay[copy];
-      if (copy + 1 < remote_plan.copies) {
-        host_->post_message(shard_index_, to_node, when, Message(message));
-      } else {
-        host_->post_message(shard_index_, to_node, when, std::move(message));
-      }
-    }
-    return;
-  }
   const net::TransmitPlan plan = transport_->plan_transmission(
       message.from_node, to_node, message.wire_bytes);
   if (plan.copies == 0) return;  // swallowed by the fault plan

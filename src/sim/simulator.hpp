@@ -71,8 +71,7 @@ class Simulator {
   bool step();
 
   /// Timestamp of the next live event, or `SimTime::infinity()` on an empty
-  /// queue. Used by the parallel LP scheduler to compute the global safe
-  /// window; refills the near tier and sweeps cancelled corpses off its top
+  /// queue. Refills the near tier and sweeps cancelled corpses off its top
   /// as a side effect (which is why it is not const).
   SimTime next_event_time();
 

@@ -31,7 +31,7 @@ class ByteWriter {
   ByteWriter() = default;
 
   /// Adopt `storage` and append after its existing content. This is the
-  /// zero-copy hook of the frame codec (DESIGN.md §17): a pooled buffer is
+  /// zero-copy hook of the frame codec (DESIGN.md §15): a pooled buffer is
   /// moved in, payload bytes are encoded straight into it, and `take()`
   /// moves it back out for the wire — no intermediate vector, no memcpy.
   explicit ByteWriter(std::vector<std::uint8_t> storage)

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <utility>
@@ -102,68 +101,6 @@ class RingBuffer {
   std::vector<T> slots_;
   std::size_t head_ = 0;
   std::size_t size_ = 0;
-};
-
-/// Fixed-capacity single-producer/single-consumer ring — the wait-free
-/// cross-LP channel transport of `sim::ParallelSimulator`.
-///
-/// Exactly one thread may push and exactly one thread may pop at any time
-/// (the roles may migrate between threads across a synchronization point,
-/// which is how the LP scheduler hands a channel from a worker to the
-/// exchange step). Capacity is fixed at construction and rounded up to a
-/// power of two; `try_push` reports a full ring instead of blocking, so
-/// callers can spill to a side buffer they own.
-template <typename T>
-class SpscRing {
- public:
-  explicit SpscRing(std::size_t capacity) {
-    std::size_t rounded = kMinCapacity;
-    while (rounded < capacity) rounded *= 2;
-    slots_.resize(rounded);
-  }
-
-  SpscRing(const SpscRing&) = delete;
-  SpscRing& operator=(const SpscRing&) = delete;
-
-  std::size_t capacity() const noexcept { return slots_.size(); }
-
-  /// Producer side. Returns false (leaving `value` untouched) on a full ring.
-  bool try_push(T& value) {
-    const std::size_t tail = tail_.load(std::memory_order_relaxed);
-    const std::size_t head = head_.load(std::memory_order_acquire);
-    if (tail - head == slots_.size()) return false;
-    slots_[tail & (slots_.size() - 1)] = std::move(value);
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Consumer side. Returns false when the ring is empty.
-  bool try_pop(T& out) {
-    const std::size_t head = head_.load(std::memory_order_relaxed);
-    const std::size_t tail = tail_.load(std::memory_order_acquire);
-    if (head == tail) return false;
-    out = std::move(slots_[head & (slots_.size() - 1)]);
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Number of queued values as seen by the consumer (exact only at a
-  /// synchronization point; a racing producer may have pushed more).
-  std::size_t size_approx() const noexcept {
-    return tail_.load(std::memory_order_acquire) -
-           head_.load(std::memory_order_acquire);
-  }
-
-  bool empty_approx() const noexcept { return size_approx() == 0; }
-
- private:
-  static constexpr std::size_t kMinCapacity = 8;
-
-  std::vector<T> slots_;
-  /// Consumer cursor / producer cursor on separate cache lines so the two
-  /// sides do not false-share.
-  alignas(64) std::atomic<std::size_t> head_{0};
-  alignas(64) std::atomic<std::size_t> tail_{0};
 };
 
 }  // namespace agentloc::util

@@ -53,14 +53,6 @@ class TAgent : public platform::Agent {
   void on_message(const platform::Message& message) override;
   void on_delivery_failure(const platform::DeliveryFailure& failure) override;
   void on_dispose() override;
-  void on_extract() override;
-  void on_shard_transfer() override;
-
-  /// Sharded deployments (DESIGN.md §16): point the agent at the scheme
-  /// instance of the shard it just landed on. The host calls this between
-  /// `adopt_migrated` and `notify_arrival` — before the arrival-time
-  /// `update_location` runs.
-  void rebind_scheme(core::LocationScheme& scheme) { scheme_ = &scheme; }
 
   /// Pause/resume roaming (used by adaptation benches to create load steps).
   void set_mobile(bool mobile);
@@ -78,7 +70,7 @@ class TAgent : public platform::Agent {
   void schedule_move();
   void do_move();
 
-  core::LocationScheme* scheme_;  ///< never null; rebound on shard transfer
+  core::LocationScheme& scheme_;
   Config config_;
   util::Rng rng_;
   std::unique_ptr<sim::Timeout> move_timer_;

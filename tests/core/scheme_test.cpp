@@ -338,39 +338,6 @@ TEST_F(HashSchemeTest, RefreshSwapsOnlyTheRefreshersSnapshot) {
   EXPECT_TRUE(routing_differs);
 }
 
-TEST(HashSchemeShardedTest, EachShardGetsItsOwnSnapshot) {
-  constexpr std::size_t kShards = 4;
-  std::vector<std::unique_ptr<sim::Simulator>> simulators;
-  std::vector<std::unique_ptr<net::Network>> networks;
-  std::vector<std::unique_ptr<platform::AgentSystem>> systems;
-  std::vector<platform::AgentSystem*> system_ptrs;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    simulators.push_back(std::make_unique<sim::Simulator>());
-    networks.push_back(std::make_unique<net::Network>(
-        *simulators.back(), kShards,
-        std::make_unique<net::FixedLatencyModel>(sim::SimTime::millis(1)),
-        util::Rng(7 + s)));
-    platform::AgentSystem::Config platform_config;
-    platform_config.id_stride = kShards;
-    platform_config.id_salt = s;
-    systems.push_back(std::make_unique<platform::AgentSystem>(
-        *simulators.back(), *networks.back(), platform_config));
-    system_ptrs.push_back(systems.back().get());
-  }
-
-  const auto schemes =
-      HashLocationScheme::build_sharded(system_ptrs, MechanismConfig{});
-  const hashtree::HashTree& primary = schemes[0]->hagent().tree();
-  std::set<const hashtree::HashTree*> snapshots;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    const hashtree::HashTree& tree =
-        schemes[s]->lhagent(static_cast<net::NodeId>(s)).tree();
-    EXPECT_TRUE(snapshots.insert(&tree).second) << "shard " << s;
-    EXPECT_TRUE(tree.router_fresh());
-    EXPECT_EQ(tree, primary);
-  }
-}
-
 // --- home-registry-specific -------------------------------------------------
 
 TEST_F(SchemeTest, HashRegistrationGiveUpIsCounted) {

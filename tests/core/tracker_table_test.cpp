@@ -21,7 +21,7 @@ TEST(LocationTable, ApplyAndFind) {
 }
 
 TEST(LocationTable, MillionEntryGrowthReservedAndIncrementalAgree) {
-  // Million-agent capacity path (DESIGN.md §15): a reserved table and one
+  // Million-agent capacity path (DESIGN.md §14): a reserved table and one
   // growing through every rehash must answer identically, and the byte
   // accounting must track the allocation.
   constexpr std::uint64_t kEntries = 1'000'000;

@@ -233,6 +233,21 @@ TEST_F(AgentSystemTest, RequestTimesOutWhenNoReply) {
   ASSERT_TRUE(done);
   EXPECT_EQ(got.status, RpcResult::Status::kTimeout);
   EXPECT_EQ(system_.stats().rpc_timeouts, 1u);
+
+  // A caller disposed with an RPC still pending fails it at once, as a
+  // delivery failure, instead of leaving it to time out.
+  done = false;
+  system_.request(a.id(), AgentAddress{1, b.id()}, TextPayload{"late"}, 64,
+                  [&](RpcResult result) {
+                    got = std::move(result);
+                    done = true;
+                  });
+  system_.dispose(a.id());
+  ASSERT_TRUE(done);
+  EXPECT_EQ(got.status, RpcResult::Status::kDeliveryFailure);
+  sim_.run();
+  EXPECT_EQ(system_.stats().rpc_timeouts, 1u);
+  EXPECT_EQ(system_.stats().rpc_delivery_failures, 1u);
 }
 
 TEST_F(AgentSystemTest, LateReplyAfterTimeoutIsIgnored) {
@@ -327,6 +342,23 @@ TEST_F(AgentSystemTest, MessagesInFlightDuringMigrationBounce) {
   EXPECT_TRUE(std::find(b.events.begin(), b.events.end(), "msg:race") ==
               b.events.end());
   EXPECT_EQ(a.events.back(), "bounce");
+
+  // A request racing the next move fails as a delivery failure, and the
+  // agent is reachable at its new node once it has landed.
+  RpcResult got;
+  bool done = false;
+  system_.request(a.id(), AgentAddress{2, b.id()}, TextPayload{"rpc"}, 64,
+                  [&](RpcResult result) {
+                    got = std::move(result);
+                    done = true;
+                  });
+  system_.migrate(b.id(), 3);
+  sim_.run();
+  ASSERT_TRUE(done);
+  EXPECT_EQ(got.status, RpcResult::Status::kDeliveryFailure);
+  system_.send(a.id(), AgentAddress{3, b.id()}, TextPayload{"after"}, 64);
+  sim_.run();
+  EXPECT_EQ(b.events.back(), "msg:after");
 }
 
 TEST_F(AgentSystemTest, SlotReuseAfterDisposeKeepsIdentitiesDistinct) {

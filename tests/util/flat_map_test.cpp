@@ -187,7 +187,7 @@ TEST(FlatMap, ExtractIfFuzzAgainstUnorderedMap) {
 }
 
 TEST(FlatMap, MillionKeyGrowthReservedAndIncrementalAgree) {
-  // Capacity-path coverage for the million-agent tables (DESIGN.md §15):
+  // Capacity-path coverage for the million-agent tables (DESIGN.md §14):
   // one map pre-sized for the population, one growing through every rehash
   // doubling. Same keys, same answers, and the reserved map must never
   // rehash after its reserve.

@@ -153,7 +153,7 @@ TEST(ExperimentRunner, RunRepeatedMatchesExplicitSequential) {
   EXPECT_EQ(repeated.queries_found, sequential.queries_found);
 }
 
-// --- Batch-first at scale (DESIGN.md §15) ---------------------------------
+// --- Batch-first at scale (DESIGN.md §14) ---------------------------------
 // Above `batch_auto_threshold` the harness turns update batching on and
 // pre-sizes every table. The auto path must be bit-identical to asking for
 // batching explicitly, and semantically equivalent to the legacy unbatched
